@@ -1,7 +1,6 @@
 """Rotationally symmetric generalized Ricci metrics and spherical Ricci tori."""
 
 from . import (  # noqa: F401
-    cli,
     immersion,
     mesh_io,
     phase_portrait,

@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Exit codes: 0 success, 2 precondition failure, 3 numerical failure,
-64 usage error.  Data goes to --out (or stdout); diagnostics to stderr.
+64 usage error, 74 output could not be written.  Data goes to --out (or
+stdout); diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     DegenerateProfile,
     DomainError,
     InvalidScale,
+    IoError,
     NoBracket,
     NonFiniteDerivative,
     NotImmersible,
@@ -30,7 +32,6 @@ from .errors import (
     PoleSingularity,
     QuadratureFailure,
     RangeError,
-    ResampleError,
     RicciLabError,
     SeamMismatch,
     SignError,
@@ -44,13 +45,13 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
+EXIT_IO = 74
 
 _PRECONDITION_ERRORS = (DomainError, DegenerateProfile, InvalidScale,
                         SignError, DegenerateLevel, WindowError,
                         OutsideFamily, RangeError, NotImmersible)
 _NUMERICAL_ERRORS = (QuadratureFailure, BlowUp, StepFailure, NoBracket,
-                     SeamMismatch, PoleSingularity, NonFiniteDerivative,
-                     ResampleError)
+                     SeamMismatch, PoleSingularity, NonFiniteDerivative)
 
 
 class _UsageError(Exception):
@@ -63,15 +64,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(record, args, default_text=None):
-    sink = open(args.out, "w") if getattr(args, "out", None) else sys.stdout
-    try:
-        if getattr(args, "format", "json") == "json" or default_text is None:
-            mesh_io.export_json(record, sink)
-        else:
-            sink.write(default_text + "\n")
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    sink = args.out or sys.stdout
+    if args.format == "json" or default_text is None:
+        mesh_io.export_json(record, sink)
+    else:
+        with mesh_io.open_sink(sink) as fh:
+            fh.write(default_text + "\n")
 
 
 def _cmd_classify(args):
@@ -147,12 +145,7 @@ def _cmd_scan(args):
     if args.format == "json":
         _emit({"inputs": inputs, "rows": rows}, args)
         return
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        mesh_io.export_csv(rows, mesh_io.SCAN_CSV_FIELDS, sink)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    mesh_io.export_csv(rows, mesh_io.SCAN_CSV_FIELDS, args.out or sys.stdout)
 
 
 def _closure_from_args(params, args):
@@ -185,12 +178,8 @@ def _cmd_profile(args):
              "x": float(pt[0]), "y": float(pt[1]),
              "z": float(pt[2]), "w": float(pt[3])}
             for s, th, pt in zip(prof.s, prof.theta, prof.points)]
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        mesh_io.export_csv(rows, ("s", "theta", "x", "y", "z", "w"), sink)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    mesh_io.export_csv(rows, ("s", "theta", "x", "y", "z", "w"),
+                       args.out or sys.stdout)
 
 
 def _cmd_mesh(args):
@@ -199,12 +188,7 @@ def _cmd_mesh(args):
     projection = "stereographic" if args.project else None
     mesh = mesh_io.build_surface_mesh(params, closure, args.ns, args.nt,
                                       projection=projection)
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        mesh_io.export_obj(mesh, sink)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    mesh_io.export_obj(mesh, args.out or sys.stdout)
 
 
 def _cmd_minimal(args):
@@ -322,6 +306,9 @@ def run(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except IoError as exc:
+        print(f"output failure: {exc}", file=sys.stderr)
+        return EXIT_IO
     except RicciLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -61,10 +61,6 @@ class StepFailure(RicciLabError):
     """ODE step controller stalled."""
 
 
-class ResampleError(RicciLabError):
-    """Monotone inversion of an arclength reparameterization failed."""
-
-
 class NoBracket(RicciLabError):
     """Root scan found no sign change at the requested resolution."""
 

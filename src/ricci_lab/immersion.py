@@ -338,14 +338,19 @@ def surface_point(params: SphericalParams, s: float, t: float,
     return np.array([x, y, z * math.cos(t), z * math.sin(t)])
 
 
-def stereographic(point, c: float) -> np.ndarray:
-    """Project a point of the c-sphere (radius 1/sqrt(c)) from the pole
-    (0, 0, 0, -1/sqrt(c)) onto R^3, after scaling to the unit sphere."""
-    p = np.asarray(point, dtype=float) * math.sqrt(c)
-    denom = 1.0 + p[3]
-    if abs(denom) < 1e-12:
+def stereographic(points, c: float) -> np.ndarray:
+    """Project points of the c-sphere (radius 1/sqrt(c)) from the pole
+    (0, 0, 0, -1/sqrt(c)) onto R^3, after scaling to the unit sphere.
+
+    points is one point of shape (4,) or an array of shape (..., 4); the
+    result has shape (3,) or (..., 3).  Raises PoleSingularity if any point
+    is at the pole.
+    """
+    p = np.asarray(points, dtype=float) * math.sqrt(c)
+    denom = 1.0 + p[..., 3:]
+    if np.any(np.abs(denom) < 1e-12):
         raise PoleSingularity("stereographic projection at the pole")
-    return p[:3] / denom
+    return p[..., :3] / denom
 
 
 def _segments_intersect(p, q):

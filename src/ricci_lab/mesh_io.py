@@ -11,8 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,11 +30,16 @@ __all__ = [
     "export_obj",
     "export_csv",
     "export_json",
+    "open_sink",
     "scan_theta",
     "SCAN_CSV_FIELDS",
 ]
 
 SEAM_TOL = 1e-6
+# Rows of vertices or faces formatted per write by export_obj: big enough to
+# amortize the call, small enough that the text of one block stays well under
+# the arrays it is formatted from.
+OBJ_BLOCK_ROWS = 4096
 
 
 def _profile_span(params: SphericalParams, closure: ClosureResult) -> float:
@@ -107,29 +111,24 @@ def build_surface_mesh(params: SphericalParams, closure: ClosureResult,
         raise DomainError(f"Nt={Nt} too coarse; quads need Nt >= 4")
     prof = build_profile(params, closure, Ns)
     t = np.linspace(0.0, 2.0 * math.pi, Nt, endpoint=False)
-    x, y, z = prof.points[:, 0], prof.points[:, 1], prof.points[:, 2]
-    verts = np.empty((Ns * Nt, 4))
-    ct, st = np.cos(t), np.sin(t)
-    for i in range(Ns):
-        base = i * Nt
-        verts[base:base + Nt, 0] = x[i]
-        verts[base:base + Nt, 1] = y[i]
-        verts[base:base + Nt, 2] = z[i] * ct
-        verts[base:base + Nt, 3] = z[i] * st
+    z = prof.points[:, 2:3]
+    verts = np.empty((Ns, Nt, 4))
+    verts[..., :2] = prof.points[:, None, :2]
+    verts[..., 2] = z * np.cos(t)
+    verts[..., 3] = z * np.sin(t)
+    verts = verts.reshape(Ns * Nt, 4)
 
     if projection == "stereographic":
-        verts = np.array([im.stereographic(v, params.c) for v in verts])
+        verts = im.stereographic(verts, params.c)
     elif projection is not None:
         raise DomainError(f"unknown projection {projection!r}")
 
-    faces = np.empty((Ns * Nt, 4), dtype=np.int64)
-    k = 0
-    for i in range(Ns):
-        i2 = (i + 1) % Ns
-        for j in range(Nt):
-            j2 = (j + 1) % Nt
-            faces[k] = (i * Nt + j, i2 * Nt + j, i2 * Nt + j2, i * Nt + j2)
-            k += 1
+    # Vertex (i, j) is i * Nt + j; both seams close by wrapping i and j.
+    row = np.arange(Ns, dtype=np.int64)[:, None] * Nt
+    col = np.arange(Nt, dtype=np.int64)
+    next_row, next_col = np.roll(row, -1), np.roll(col, -1)
+    faces = np.stack([row + col, next_row + col, next_row + next_col,
+                      row + next_col], axis=-1).reshape(Ns * Nt, 4)
 
     prov = {"c": params.c, "m": params.m, "ell": params.ell,
             "p": closure.p, "q": closure.q,
@@ -139,36 +138,48 @@ def build_surface_mesh(params: SphericalParams, closure: ClosureResult,
 
 
 def euler_characteristic(mesh: SurfaceMesh) -> int:
-    """V - E + F with edges deduplicated across faces."""
-    edges = set()
-    for face in mesh.faces:
-        n = len(face)
-        for k in range(n):
-            a, b = int(face[k]), int(face[(k + 1) % n])
-            edges.add((a, b) if a < b else (b, a))
-    return mesh.vertices.shape[0] - len(edges) + mesh.faces.shape[0]
+    """V - E + F with edges deduplicated across faces.
+
+    Faces may be polygons of any size, degenerate ones included; an edge is
+    an unordered pair of consecutive corners, packed into one int64 key.
+    """
+    faces = np.asarray(mesh.faces, dtype=np.int64)
+    nxt = np.roll(faces, -1, axis=1)
+    lo, hi = np.minimum(faces, nxt), np.maximum(faces, nxt)
+    base = int(hi.max()) + 1 if hi.size else 1
+    n_edges = np.unique(lo * base + hi).size
+    return mesh.vertices.shape[0] - n_edges + faces.shape[0]
 
 
-def _open_sink(sink, mode="w"):
-    if hasattr(sink, "write"):
-        return sink, False
+@contextmanager
+def open_sink(sink):
+    """Text stream for a path (opened for writing, LF kept) or a stream.
+
+    Any OSError from opening, writing or closing becomes IoError.
+    """
     try:
-        return open(sink, mode, newline=""), True
+        if hasattr(sink, "write"):
+            yield sink
+        else:
+            with open(sink, "w", newline="") as fh:
+                yield fh
     except OSError as exc:
         raise IoError(str(exc)) from exc
 
 
+def _write_rows(fh, tag, cell, rows) -> None:
+    """One 'tag cell cell ...' line per row, OBJ_BLOCK_ROWS rows per write."""
+    line = tag + " " + " ".join([cell] * rows.shape[1]) + "\n"
+    for start in range(0, rows.shape[0], OBJ_BLOCK_ROWS):
+        block = rows[start:start + OBJ_BLOCK_ROWS]
+        fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+
+
 def export_obj(mesh: SurfaceMesh, sink) -> None:
     """Wavefront OBJ: 17-significant-digit vertices, 1-indexed quad faces."""
-    fh, own = _open_sink(sink)
-    try:
-        for v in mesh.vertices:
-            fh.write("v " + " ".join(f"{x:.17g}" for x in v) + "\n")
-        for face in mesh.faces:
-            fh.write("f " + " ".join(str(int(i) + 1) for i in face) + "\n")
-    finally:
-        if own:
-            fh.close()
+    with open_sink(sink) as fh:
+        _write_rows(fh, "v", "%.17g", np.asarray(mesh.vertices))
+        _write_rows(fh, "f", "%d", np.asarray(mesh.faces, dtype=np.int64) + 1)
 
 
 def _csv_cell(value):
@@ -183,15 +194,11 @@ def _csv_cell(value):
 
 def export_csv(rows, fieldnames, sink) -> None:
     """Comma-separated, '.' decimals, LF line endings, shortest float repr."""
-    fh, own = _open_sink(sink)
-    try:
+    with open_sink(sink) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
         for row in rows:
             writer.writerow([_csv_cell(row.get(k)) for k in fieldnames])
-    finally:
-        if own:
-            fh.close()
 
 
 def _json_default(obj):
@@ -206,13 +213,9 @@ def _json_default(obj):
 
 def export_json(record, sink) -> None:
     """Insertion-ordered JSON with shortest round-trip number rendering."""
-    fh, own = _open_sink(sink)
-    try:
+    with open_sink(sink) as fh:
         json.dump(record, fh, indent=2, default=_json_default)
         fh.write("\n")
-    finally:
-        if own:
-            fh.close()
 
 
 SCAN_CSV_FIELDS = ("m", "ell", "Theta", "closed", "p", "q", "embedded")
@@ -252,7 +255,8 @@ def scan_theta(c, m_range, ell_range, resolution, closure_tol=1e-8,
     """Theta/closure table over an (m, ell) grid; failures become row codes.
 
     Grid cells outside the immersible set are kept with a reason code rather
-    than aborting the scan.  Parallelism is capped by RICCI_LAB_THREADS.
+    than aborting the scan.  Cells are evaluated serially, m-major, one row
+    per cell.
     """
     if isinstance(resolution, int):
         nm = nell = resolution
@@ -260,14 +264,5 @@ def scan_theta(c, m_range, ell_range, resolution, closure_tol=1e-8,
         nm, nell = resolution
     ms = np.linspace(m_range[0], m_range[1], nm)
     ells = np.linspace(ell_range[0], ell_range[1], nell)
-    cells = [(float(m), float(ell)) for m in ms for ell in ells]
-
-    threads = int(os.environ.get("RICCI_LAB_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda me: _scan_cell(c, me[0], me[1], closure_tol, q_max),
-                cells))
-    else:
-        rows = [_scan_cell(c, m, ell, closure_tol, q_max) for m, ell in cells]
-    return rows
+    return [_scan_cell(c, float(m), float(ell), closure_tol, q_max)
+            for m in ms for ell in ells]

@@ -261,12 +261,9 @@ class OrbitSample:
         return list(zip(self.s, self.x, self.y))
 
 
-def integrate_orbit(a, c, m, x0, y0, s_span, rtol=1e-11, atol=1e-11,
-                    n_out=None, guard=1e-8) -> OrbitSample:
-    """Adaptive DOP853 integration of x' = y, y' = m x^(1-a) - c x."""
-    _check_signs(a, c, m)
-    if x0 <= 0:
-        raise DomainError(f"integrate_orbit requires x0 > 0, got {x0}")
+def _orbit_ode(a, c, m, guard):
+    """Right-hand side of x' = y, y' = m x^(1-a) - c x for solve_ivp, and the
+    terminal event of x falling through the guard."""
 
     def rhs(_s, u):
         x = u[0]
@@ -277,7 +274,16 @@ def integrate_orbit(a, c, m, x0, y0, s_span, rtol=1e-11, atol=1e-11,
 
     hit_guard.terminal = True
     hit_guard.direction = -1.0
+    return rhs, hit_guard
 
+
+def integrate_orbit(a, c, m, x0, y0, s_span, rtol=1e-11, atol=1e-11,
+                    n_out=None, guard=1e-8) -> OrbitSample:
+    """Adaptive DOP853 integration of x' = y, y' = m x^(1-a) - c x."""
+    _check_signs(a, c, m)
+    if x0 <= 0:
+        raise DomainError(f"integrate_orbit requires x0 > 0, got {x0}")
+    rhs, hit_guard = _orbit_ode(a, c, m, guard)
     t_eval = np.linspace(s_span[0], s_span[1], n_out) if n_out else None
     sol = solve_ivp(rhs, s_span, (x0, y0), method="DOP853", rtol=rtol, atol=atol,
                     dense_output=True, events=hit_guard, t_eval=t_eval)
@@ -307,21 +313,12 @@ def orbit_period_numeric(a, c, m, ell, rtol=1e-11, atol=1e-11) -> float:
     win = _checked_level(a, c, m, ell)
     x_star = win.equilibrium
     y0 = -math.sqrt(2.0 * (ell - win.lower))
-
-    def rhs(_s, u):
-        x = u[0]
-        return (u[1], m * x ** (1.0 - a) - c * x)
+    rhs, hit_guard = _orbit_ode(a, c, m, 1e-8)
 
     def section(_s, u):
         return u[1]
 
     section.direction = -1.0
-
-    def hit_guard(_s, u):
-        return u[0] - 1e-8
-
-    hit_guard.terminal = True
-    hit_guard.direction = -1.0
 
     span = 8.0 * 2.0 * math.pi / math.sqrt(a * c)
     for _ in range(8):

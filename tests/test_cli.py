@@ -1,9 +1,30 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import ricci_lab
 from ricci_lab import cli
+
+# One short run of every subcommand; each writes its output to --out.
+SUBCOMMANDS = {
+    "classify": ["classify", "--m", "0.5", "--ell", "0.8"],
+    "verify": ["verify", "--m", "0.5", "--ell", "0.8", "--n", "64"],
+    "period": ["period", "--m", "0.5", "--ell", "0.8"],
+    "theta": ["theta", "--m", "0.25", "--ell", "0.5"],
+    "solve": ["solve", "--m", "0.51"],
+    "scan": ["scan", "--m-min", "0.4", "--m-max", "0.6", "--ell-min", "0.66",
+             "--ell-max", "0.74", "--nm", "2", "--nell", "2"],
+    "profile": ["profile", "--m", "0.25", "--ell", "0.5", "--p", "1",
+                "--q", "1", "--ns", "32"],
+    "mesh": ["mesh", "--m", "0.25", "--ell", "0.5", "--p", "1", "--q", "1",
+             "--ns", "32", "--nt", "8", "--project"],
+    "minimal": ["minimal", "--j", "0.6"],
+}
 
 
 def run_cli(capsys, *argv):
@@ -152,3 +173,39 @@ class TestUsage:
 
     def test_malformed_number(self, capsys):
         assert run_cli(capsys, "classify", "--m", "abc", "--ell", "0.5")[0] == 64
+
+
+class TestOut:
+    @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+    def test_out_file_holds_stdout_bytes(self, capsys, tmp_path, name):
+        code, out, _ = run_cli(capsys, *SUBCOMMANDS[name])
+        assert code == 0
+        target = tmp_path / "out.txt"
+        code, out_with_file, _ = run_cli(capsys, *SUBCOMMANDS[name],
+                                         "--out", str(target))
+        assert code == 0
+        assert out_with_file == ""
+        assert target.read_text() == out
+
+    @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+    def test_unwritable_out_is_io_failure(self, capsys, tmp_path, name):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, *SUBCOMMANDS[name],
+                                 "--out", str(target))
+        assert code == 74
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert str(target) in err
+
+
+def test_module_entry_point_runs_without_warning():
+    src = str(pathlib.Path(ricci_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ricci_lab.cli", "minimal", "--j", "0.5"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["m"] == pytest.approx(0.1875)

@@ -300,6 +300,21 @@ class TestStereographic:
         with pytest.raises(PoleSingularity):
             im.stereographic(np.array([0.0, 0.0, 0.0, -1.0]), 1.0)
 
+    def test_array_matches_per_row_calls(self):
+        c = 4.0
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(50, 4))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True) * math.sqrt(c)
+        rows = np.array([im.stereographic(pt, c) for pt in pts])
+        assert np.array_equal(im.stereographic(pts, c), rows)
+        assert im.stereographic(pts.reshape(5, 10, 4), c).shape == (5, 10, 3)
+
+    def test_array_with_one_pole_row_rejected(self):
+        pts = np.array([[0.6, 0.0, 0.8, 0.0], [0.0, 0.0, 0.0, -0.5],
+                        [0.0, 0.0, 0.0, 0.5]])
+        with pytest.raises(PoleSingularity):
+            im.stereographic(pts, 4.0)
+
     def test_embedded_image_finite_and_injective(self):
         rng = np.random.default_rng(31)
         n = 1000

@@ -1,7 +1,6 @@
 import io
 import json
 import math
-import os
 import pathlib
 
 import numpy as np
@@ -20,6 +19,14 @@ IMMERSED = im.solve_for_ell(1.0, 0.75, 3, 2)
 P_EMB = SphericalParams(c=1.0, m=0.51, ell=EMBEDDED.ell)
 P_IMM = SphericalParams(c=1.0, m=0.75, ell=IMMERSED.ell)
 CLIFFORD = SphericalParams(c=1.0, m=0.25, ell=0.5)
+
+
+def golden_mesh():
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                      [0.0, 1.0, 0.0], [0.5, 0.25, 0.125]])
+    faces = np.array([[0, 2, 3, 1], [1, 3, 2, 0],
+                      [2, 0, 1, 3], [3, 1, 0, 2]])
+    return mesh_io.SurfaceMesh(vertices=verts, faces=faces, ns=2, nt=2)
 
 
 class TestBuildProfile:
@@ -91,13 +98,8 @@ class TestBuildSurfaceMesh:
 
 class TestExporters:
     def test_obj_golden_fixture(self):
-        verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                          [0.0, 1.0, 0.0], [0.5, 0.25, 0.125]])
-        faces = np.array([[0, 2, 3, 1], [1, 3, 2, 0],
-                          [2, 0, 1, 3], [3, 1, 0, 2]])
-        mesh = mesh_io.SurfaceMesh(vertices=verts, faces=faces, ns=2, nt=2)
         buf = io.StringIO()
-        mesh_io.export_obj(mesh, buf)
+        mesh_io.export_obj(golden_mesh(), buf)
         assert buf.getvalue() == (GOLDEN / "degenerate_2x2.obj").read_text()
 
     def test_obj_round_trips_floats(self):
@@ -170,15 +172,101 @@ class TestScanTheta:
         assert "not_immersible" in statuses
         assert len(rows) == 9
 
-    def test_parallel_scan_matches_serial(self):
-        serial = mesh_io.scan_theta(1.0, (0.3, 0.6), (0.6, 0.74), (3, 3))
-        old = os.environ.get("RICCI_LAB_THREADS")
-        os.environ["RICCI_LAB_THREADS"] = "4"
-        try:
-            parallel = mesh_io.scan_theta(1.0, (0.3, 0.6), (0.6, 0.74), (3, 3))
-        finally:
-            if old is None:
-                del os.environ["RICCI_LAB_THREADS"]
-            else:
-                os.environ["RICCI_LAB_THREADS"] = old
-        assert serial == parallel
+
+# Per-element loop versions of the mesh pipeline, kept as references for the
+# array code: the arithmetic is the same, so results must be equal exactly.
+
+def loop_surface_mesh(prof, Ns, Nt, c, projection):
+    t = np.linspace(0.0, 2.0 * math.pi, Nt, endpoint=False)
+    x, y, z = prof.points[:, 0], prof.points[:, 1], prof.points[:, 2]
+    verts = np.empty((Ns * Nt, 4))
+    ct, st = np.cos(t), np.sin(t)
+    for i in range(Ns):
+        base = i * Nt
+        verts[base:base + Nt, 0] = x[i]
+        verts[base:base + Nt, 1] = y[i]
+        verts[base:base + Nt, 2] = z[i] * ct
+        verts[base:base + Nt, 3] = z[i] * st
+    if projection == "stereographic":
+        rows = []
+        for v in verts:
+            p = v * math.sqrt(c)
+            rows.append(p[:3] / (1.0 + p[3]))
+        verts = np.array(rows)
+    faces = np.empty((Ns * Nt, 4), dtype=np.int64)
+    k = 0
+    for i in range(Ns):
+        i2 = (i + 1) % Ns
+        for j in range(Nt):
+            j2 = (j + 1) % Nt
+            faces[k] = (i * Nt + j, i2 * Nt + j, i2 * Nt + j2, i * Nt + j2)
+            k += 1
+    return verts, faces
+
+
+def loop_euler_characteristic(mesh):
+    edges = set()
+    for face in mesh.faces:
+        n = len(face)
+        for k in range(n):
+            a, b = int(face[k]), int(face[(k + 1) % n])
+            edges.add((a, b) if a < b else (b, a))
+    return mesh.vertices.shape[0] - len(edges) + mesh.faces.shape[0]
+
+
+def loop_obj_text(mesh):
+    buf = io.StringIO()
+    for v in mesh.vertices:
+        buf.write("v " + " ".join(f"{x:.17g}" for x in v) + "\n")
+    for face in mesh.faces:
+        buf.write("f " + " ".join(str(int(i) + 1) for i in face) + "\n")
+    return buf.getvalue()
+
+
+class TestLoopReferences:
+    @pytest.mark.parametrize("projection", [None, "stereographic"])
+    def test_mesh_matches_loops_on_non_square_q2_torus(self, projection):
+        Ns, Nt = 48, 20
+        mesh = mesh_io.build_surface_mesh(P_IMM, IMMERSED.closure, Ns, Nt,
+                                          projection=projection)
+        prof = mesh_io.build_profile(P_IMM, IMMERSED.closure, Ns)
+        verts, faces = loop_surface_mesh(prof, Ns, Nt, P_IMM.c, projection)
+        assert np.array_equal(mesh.vertices, verts)
+        assert np.array_equal(mesh.faces, faces)
+        assert mesh.faces.dtype == np.int64
+
+    @pytest.mark.parametrize("mesh", [
+        golden_mesh(),
+        mesh_io.SurfaceMesh(vertices=np.zeros((5, 3)),
+                            faces=np.array([[0, 1, 2], [2, 1, 3], [3, 4, 3],
+                                            [0, 0, 0]]),
+                            ns=1, nt=1),
+        mesh_io.SurfaceMesh(vertices=np.zeros((3, 3)),
+                            faces=np.zeros((0, 4), dtype=np.int64),
+                            ns=1, nt=1),
+    ], ids=["golden_degenerate_2x2", "triangles", "no_faces"])
+    def test_euler_matches_edge_set(self, mesh):
+        assert (mesh_io.euler_characteristic(mesh)
+                == loop_euler_characteristic(mesh))
+
+    def test_obj_matches_per_line_writer(self):
+        verts = np.array([[-0.0, math.inf, -math.inf],
+                          [math.nan, 2.0 ** -40, 1e300],
+                          [1.0 / 3.0, -1e-300, 5e-324]])
+        for faces in (np.zeros((0, 4), dtype=np.int64),
+                      np.array([[0, 1, 2, 0], [2, 1, 0, 1]])):
+            mesh = mesh_io.SurfaceMesh(vertices=verts, faces=faces,
+                                       ns=1, nt=1)
+            buf = io.StringIO()
+            mesh_io.export_obj(mesh, buf)
+            assert buf.getvalue() == loop_obj_text(mesh)
+
+    def test_obj_blocks_match_per_line_writer(self):
+        mesh = mesh_io.build_surface_mesh(P_IMM, IMMERSED.closure, 48, 20,
+                                          projection="stereographic")
+        reps = mesh_io.OBJ_BLOCK_ROWS // len(mesh.faces) + 2
+        mesh.vertices = np.tile(mesh.vertices, (reps, 1))
+        mesh.faces = np.tile(mesh.faces, (reps, 1))
+        buf = io.StringIO()
+        mesh_io.export_obj(mesh, buf)
+        assert buf.getvalue() == loop_obj_text(mesh)
