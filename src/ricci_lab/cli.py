@@ -82,6 +82,8 @@ def _cmd_classify(args):
 def _cmd_verify(args):
     inputs = {"c": args.c, "m": args.m, "ell": args.ell, "n": args.n}
     params = SphericalParams(c=args.c, m=args.m, ell=args.ell)
+    if args.n < 1:
+        raise DomainError(f"--n must be at least 1, got {args.n}")
     profile = sf.metric_profile(params)
     grid = np.linspace(0.0, params.period, args.n)
     report = wg.ricci_residual(profile, wg.RicciType(a=4.0, c=args.c), grid)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the finiteness guard
+that raises into it."""
+
+import math
 
 
 class RicciLabError(Exception):
@@ -77,5 +80,8 @@ class IoError(RicciLabError):
     """Mesh/table emission failed."""
 
 
-class ResolutionWarning(UserWarning):
-    """Sampling too coarse relative to the smallest geometric feature."""
+def require_finite(**values) -> None:
+    """Raise DomainError naming the first of values that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")

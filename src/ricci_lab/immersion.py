@@ -15,13 +15,11 @@ per-period advance Theta = theta(pi/sqrt(c)) is a rational multiple of
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import spherical_family as sf
 from .errors import (
@@ -30,7 +28,6 @@ from .errors import (
     NotImmersible,
     PoleSingularity,
     RangeError,
-    ResolutionWarning,
 )
 from .phase_portrait import _quad_checked
 from .spherical_family import Classification, SphericalParams
@@ -141,19 +138,19 @@ def make_theta_profile(params: SphericalParams) -> ThetaProfile:
         rate = float(theta_rate(params, 0.0))
         s1 = s2 = rate
     else:
+        c, m, ell = params.c, params.m, params.ell
         g_lo, g_hi = params.f_sq_min, params.f_sq_max
-
-        def rate_g(g):
-            return float(_rate_of_fsq(params, g))
-
-        lo = minimize_scalar(rate_g, bounds=(g_lo, g_hi), method="bounded",
-                             options={"xatol": 1e-14})
-        hi = minimize_scalar(lambda g: -rate_g(g), bounds=(g_lo, g_hi),
-                             method="bounded", options={"xatol": 1e-14})
-        # endpoints are candidates too: the extremum may sit on the boundary
-        cands = [rate_g(g_lo), rate_g(g_hi), lo.fun, -hi.fun]
-        s1 = min(cands) * (1.0 - 1e-12)
-        s2 = max(cands) * (1.0 + 1e-12)
+        # Interior critical points of the rate are the roots of
+        # 2 c (1 - 2 ell) g^2 + 3 c m g - m = 0.  The first root is written
+        # so that it stays finite, g = 1/(3c), when ell = 1/2; the
+        # discriminant is positive on the admissible set.
+        a2 = 2.0 * c * (1.0 - 2.0 * ell)
+        q = -0.5 * (3.0 * c * m + math.sqrt(9.0 * (c * m) ** 2 + 4.0 * a2 * m))
+        roots = [-m / q] + ([q / a2] if a2 != 0.0 else [])
+        g = np.array([g_lo, g_hi] + [x for x in roots if g_lo < x < g_hi])
+        rates = _rate_of_fsq(params, g)
+        s1 = float(np.min(rates)) * (1.0 - 1e-12)
+        s2 = float(np.max(rates)) * (1.0 + 1e-12)
     return ThetaProfile(params=params, theta=lambda s: theta(params, s),
                         Theta=big_theta(params), S1=s1, S2=s2)
 
@@ -353,79 +350,38 @@ def stereographic(points, c: float) -> np.ndarray:
     return p[..., :3] / denom
 
 
-def _segments_intersect(p, q):
-    """Boolean matrix of proper/improper crossings between segment sets.
-
-    p, q: arrays (n, 2, 2) of segment endpoints; entry [i, j] is True when
-    segment i of p meets segment j of q.
-    """
-
-    def orient(a, b, c):
-        return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
-                - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
-
-    a = p[:, None, 0]
-    b = p[:, None, 1]
-    c = q[None, :, 0]
-    d = q[None, :, 1]
-    d1 = orient(c, d, a)
-    d2 = orient(c, d, b)
-    d3 = orient(a, b, c)
-    d4 = orient(a, b, d)
-    return (((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
-            | (d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0)
-            & _collinear_overlap(a, b, c, d))
-
-
-def _collinear_overlap(a, b, c, d):
-    lo1 = np.minimum(a, b)
-    hi1 = np.maximum(a, b)
-    lo2 = np.minimum(c, d)
-    hi2 = np.maximum(c, d)
-    return np.all((lo1 <= hi2) & (lo2 <= hi1), axis=-1)
-
-
 def profile_simple_check(params: SphericalParams,
                          closure: Optional[ClosureResult],
                          n_samples: int = 1024) -> bool:
-    """True when the closed planar projection (x, y) of the profile curve has
-    no self-intersection over one circuit of q fundamental periods."""
+    """True when the closed polygon through n_samples points of the planar
+    projection (x, y) of the profile curve, over one circuit of q fundamental
+    periods, has no self-intersection.
+
+    On the admissible set theta' > 0 and r > 0, so the profile is a polar
+    graph.  When every polygon step, the closing one included, turns about
+    the origin by an angle in (0, pi), each ray from the origin meets the
+    polygon once per turn, so it is simple exactly when it winds once.  The
+    turns are measured from the points, not from theta or closure.p.
+    Raises DomainError when the samples are too coarse for that certificate.
+    """
     if closure is None:
         raise DomainError("profile_simple_check needs a closure result")
+    if n_samples < 3:
+        raise DomainError(f"n_samples={n_samples}: a polygon needs at least 3")
     _require_immersible(params)
-    q = closure.q
-    s_total = q * params.period
-    s = np.linspace(0.0, s_total, n_samples, endpoint=False)
+    s = np.linspace(0.0, closure.q * params.period, n_samples, endpoint=False)
     thetas = theta_grid(params, s)
     f = sf.f_closed(params, s)[0]
     r = np.sqrt(np.maximum(1.0 / params.c - f * f, 0.0))
-    pts = np.stack([r * np.cos(thetas), r * np.sin(thetas)], axis=1)
-
-    nxt = np.roll(np.arange(n_samples), -1)
-    segs = np.stack([pts, pts[nxt]], axis=1)
-    idx = np.arange(n_samples)
-    gap = np.minimum(np.abs(idx[:, None] - idx[None, :]),
-                     n_samples - np.abs(idx[:, None] - idx[None, :]))
-
-    hits = _segments_intersect(segs, segs)
-    simple = not bool(np.any(hits & (gap > 1)))
-
-    if simple:
-        # feature size: closest approach between strands that are far apart
-        # along the curve; near-in-arclength pairs are trivially close
-        seg_len = np.linalg.norm(pts[nxt] - pts, axis=1)
-        max_seg = float(np.max(seg_len))
-        min_seg = float(np.min(seg_len[seg_len > 0], initial=max_seg))
-        cutoff = max(2, math.ceil(4.0 * max_seg / max(min_seg, 1e-300)))
-        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        far = np.where(gap <= cutoff, np.inf, dist)
-        if float(np.min(far)) < 4.0 * max_seg:
-            warnings.warn(
-                "profile features smaller than 4 sample spacings; increase "
-                "n_samples for a trustworthy simplicity verdict",
-                ResolutionWarning,
-            )
-    return simple
+    x, y = r * np.cos(thetas), r * np.sin(thetas)
+    x1, y1 = np.roll(x, -1), np.roll(y, -1)
+    turns = np.arctan2(x * y1 - y * x1, x * x1 + y * y1)
+    if not (np.all(r > 0) and np.all((turns > 0) & (turns < math.pi))):
+        raise DomainError(
+            f"n_samples={n_samples} too small for a certified verdict: a "
+            "polygon step turns outside (0, pi) about the origin"
+        )
+    return round(float(np.sum(turns)) / (2.0 * math.pi)) == 1
 
 
 @dataclass(frozen=True)

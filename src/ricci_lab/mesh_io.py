@@ -18,7 +18,13 @@ import numpy as np
 
 from . import immersion as im
 from . import spherical_family as sf
-from .errors import DomainError, IoError, RicciLabError, SeamMismatch
+from .errors import (
+    DomainError,
+    IoError,
+    RicciLabError,
+    SeamMismatch,
+    require_finite,
+)
 from .immersion import ClosureResult, ProfileCurve
 from .spherical_family import Classification, SphericalParams
 
@@ -262,6 +268,10 @@ def scan_theta(c, m_range, ell_range, resolution, closure_tol=1e-8,
         nm = nell = resolution
     else:
         nm, nell = resolution
+    require_finite(m_min=m_range[0], m_max=m_range[1],
+                   ell_min=ell_range[0], ell_max=ell_range[1])
+    if nm < 1 or nell < 1:
+        raise DomainError(f"scan resolution must be at least 1x1, got {nm}x{nell}")
     ms = np.linspace(m_range[0], m_range[1], nm)
     ells = np.linspace(ell_range[0], ell_range[1], nell)
     return [_scan_cell(c, float(m), float(ell), closure_tol, q_max)

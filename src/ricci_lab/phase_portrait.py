@@ -24,6 +24,7 @@ from .errors import (
     SignError,
     StepFailure,
     WindowError,
+    require_finite,
 )
 
 __all__ = [
@@ -47,6 +48,7 @@ DEGENERACY_TOL = 1e-14
 
 
 def _check_signs(a: float, c: float, m: float) -> None:
+    require_finite(a=a, c=c, m=m)
     if a == 0 or c == 0 or m == 0:
         raise SignError(f"a, c, m must be nonzero, got a={a}, c={c}, m={m}")
     if not (a * c > 0 and c * m > 0):
@@ -110,6 +112,7 @@ class RicciParams:
     ell: float
 
     def __post_init__(self):
+        require_finite(ell=self.ell)
         win = admissible_energy_window(self.a, self.c, self.m)
         if self.ell >= win.upper:
             raise WindowError(
@@ -129,6 +132,7 @@ class RicciParams:
 
 
 def _checked_level(a, c, m, ell) -> EnergyWindow:
+    require_finite(ell=ell)
     win = admissible_energy_window(a, c, m)
     if win.is_degenerate(ell):
         raise DegenerateLevel(f"ell={ell} on the window floor {win.lower}")

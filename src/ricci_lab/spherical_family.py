@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import warped_geometry as wg
-from .errors import DomainError, OutsideFamily, RangeError
+from .errors import DomainError, OutsideFamily, RangeError, require_finite
 
 __all__ = [
     "Classification",
@@ -55,6 +55,9 @@ def classify(c: float, m: float, ell: float) -> Classification:
 
     m <= 0 is Outside by convention: the m = 0 solution develops cusps.
     """
+    # inline rather than require_finite: theta' reclassifies at every sample
+    if not (math.isfinite(c) and math.isfinite(m) and math.isfinite(ell)):
+        raise DomainError(f"classify needs finite c, m, ell, got {c}, {m}, {ell}")
     if c <= 0:
         raise DomainError(f"classify requires c > 0, got c={c}")
     if m <= 0 or ell <= 0:
@@ -79,6 +82,7 @@ class SphericalParams:
     phase: float = 0.0
 
     def __post_init__(self):
+        require_finite(c=self.c, m=self.m, ell=self.ell, phase=self.phase)
         if self.c <= 0:
             raise DomainError(f"c must be positive, got {self.c}")
 

@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     InvalidScale,
     NonFiniteDerivative,
+    require_finite,
 )
 from .phase_portrait import RicciParams
 
@@ -47,9 +48,7 @@ class RicciType:
     b: float = 0.0
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"RicciType.{name} must be finite")
+        require_finite(a=self.a, b=self.b, c=self.c)
 
 
 @dataclass(frozen=True)
@@ -164,9 +163,12 @@ def ricci_residual(profile: MetricProfile, rtype: RicciType,
     acceptance threshold is scale-free.
     """
     a, b, c = rtype.a, rtype.b, rtype.c
+    s_grid = np.asarray(s_grid, dtype=float)
+    if s_grid.size == 0:
+        raise DomainError("ricci_residual needs a non-empty grid")
     residuals = []
     gap_max = 0.0
-    for s in np.asarray(s_grid, dtype=float):
+    for s in s_grid:
         k, k1, k2 = _curvature_derivs(profile, s)
         fv = profile.f(s)
         lap_k = k2 + (profile.df(s) / fv) * k1

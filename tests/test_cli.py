@@ -175,6 +175,26 @@ class TestUsage:
         assert run_cli(capsys, "classify", "--m", "abc", "--ell", "0.5")[0] == 64
 
 
+class TestInvalidInputs:
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--m", "nan", "--ell", "0.5"],
+        ["classify", "--m", "0.5", "--ell", "inf"],
+        ["verify", "--m", "0.5", "--ell", "nan"],
+        ["verify", "--m", "0.5", "--ell", "0.8", "--n", "0"],
+        ["verify", "--m", "0.5", "--ell", "0.8", "--n", "-1"],
+        ["period", "--a", "3", "--m", "0.5", "--ell", "nan"],
+        ["scan", "--m-min", "0.4", "--m-max", "0.6", "--ell-min", "0.66",
+         "--ell-max", "nan", "--nm", "2", "--nell", "2"],
+        ["scan", "--m-min", "0.4", "--m-max", "0.6", "--ell-min", "0.66",
+         "--ell-max", "0.74", "--nm", "-1", "--nell", "2"],
+    ], ids=" ".join)
+    def test_is_precondition_failure(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestOut:
     @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
     def test_out_file_holds_stdout_bytes(self, capsys, tmp_path, name):
@@ -203,9 +223,10 @@ def test_module_entry_point_runs_without_warning():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "ricci_lab.cli", "minimal", "--j", "0.5"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0
-    assert proc.stderr == ""
-    assert json.loads(proc.stdout)["m"] == pytest.approx(0.1875)
+    for module in ("ricci_lab.cli", "ricci_lab"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "minimal", "--j", "0.5"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, module
+        assert proc.stderr == "", module
+        assert json.loads(proc.stdout)["m"] == pytest.approx(0.1875)

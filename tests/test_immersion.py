@@ -140,6 +140,33 @@ class TestThetaProfile:
         assert prof.S1 == pytest.approx(prof.S2)
         assert prof.Theta == pytest.approx(math.sqrt(2.0) * math.pi, rel=1e-13)
 
+    @pytest.mark.parametrize("c, m, ell", [
+        (1.0, 0.16, 0.5),                 # ell = 1/2: the quadratic is linear
+        (1.0, 0.51, 0.7302448635193721),  # no critical point inside
+        (1.0, 0.1, 0.4),                  # one critical point inside
+        (4.0, 0.025, 0.4),
+    ])
+    def test_bounds_are_the_extremes_of_the_rate(self, c, m, ell):
+        # brute force: 10^5 samples of g = f^2, refined once around the
+        # extreme sample so the grid spacing no longer limits the accuracy
+        p = SphericalParams(c=c, m=m, ell=ell)
+
+        def extreme(pick):
+            g = np.linspace(p.f_sq_min, p.f_sq_max, 100_001)
+            for _ in range(2):
+                rate = (math.sqrt(c) * np.sqrt(m + (1.0 - 2.0 * ell) * g)
+                        / (np.sqrt(g) * (1.0 - c * g)))
+                i = int(pick(rate))
+                g = np.linspace(g[max(i - 1, 0)], g[min(i + 1, g.size - 1)],
+                                100_001)
+            return float(rate[i])
+
+        lo, hi = extreme(np.argmin), extreme(np.argmax)
+        prof = im.make_theta_profile(p)
+        assert prof.S1 <= lo and hi <= prof.S2
+        assert prof.S1 / (1.0 - 1e-12) == pytest.approx(lo, rel=1e-12)
+        assert prof.S2 / (1.0 + 1e-12) == pytest.approx(hi, rel=1e-12)
+
 
 class TestThetaLimits:
     def test_m_to_boundary(self):
@@ -333,7 +360,77 @@ class TestStereographic:
         assert float(d.min()) > 0.0
 
 
+def _segments_intersect(p, q):
+    """Boolean matrix of proper/improper crossings between segment sets.
+
+    p, q: arrays (n, 2, 2) of segment endpoints; entry [i, j] is True when
+    segment i of p meets segment j of q.
+    """
+
+    def orient(a, b, c):
+        return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+                - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+
+    a = p[:, None, 0]
+    b = p[:, None, 1]
+    c = q[None, :, 0]
+    d = q[None, :, 1]
+    d1 = orient(c, d, a)
+    d2 = orient(c, d, b)
+    d3 = orient(a, b, c)
+    d4 = orient(a, b, d)
+    return (((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+            | (d1 == 0) & (d2 == 0) & (d3 == 0) & (d4 == 0)
+            & _collinear_overlap(a, b, c, d))
+
+
+def _collinear_overlap(a, b, c, d):
+    lo1 = np.minimum(a, b)
+    hi1 = np.maximum(a, b)
+    lo2 = np.minimum(c, d)
+    hi2 = np.maximum(c, d)
+    return np.all((lo1 <= hi2) & (lo2 <= hi1), axis=-1)
+
+
+def dense_simple_reference(params, closure, n_samples=1024):
+    """The O(n^2) test profile_simple_check used to run: True when no two
+    non-adjacent edges of the same sampled closed polygon meet."""
+    s = np.linspace(0.0, closure.q * params.period, n_samples, endpoint=False)
+    thetas = im.theta_grid(params, s)
+    f = sf.f_closed(params, s)[0]
+    r = np.sqrt(np.maximum(1.0 / params.c - f * f, 0.0))
+    pts = np.stack([r * np.cos(thetas), r * np.sin(thetas)], axis=1)
+    segs = np.stack([pts, np.roll(pts, -1, axis=0)], axis=1)
+    idx = np.arange(n_samples)
+    gap = np.abs(idx[:, None] - idx[None, :])
+    gap = np.minimum(gap, n_samples - gap)
+    return not bool(np.any(_segments_intersect(segs, segs) & (gap > 1)))
+
+
 class TestProfileSimpleCheck:
+    # Theta = 2 pi p / q = pi is out of reach (Theta > pi on every slice), so
+    # (2, 1) stands in for (1, 2).
+    @pytest.mark.parametrize("c, m, p, q", [
+        (1.0, 0.51, 1, 1), (1.0, 0.75, 2, 1), (1.0, 0.75, 3, 2),
+        (1.0, 0.12, 2, 3), (1.0, 0.2, 3, 4), (4.0, 0.1275, 1, 1),
+    ])
+    def test_certificate_matches_dense_reference(self, c, m, p, q):
+        solved = im.solve_for_ell(c, m, p, q)
+        params = SphericalParams(c=c, m=m, ell=solved.ell)
+        simple = im.profile_simple_check(params, solved.closure)
+        assert simple is dense_simple_reference(params, solved.closure)
+        assert simple is (p == 1)
+
+    def test_coarse_sampling_raises(self):
+        # 6 pi of turn over 4 steps: some step turns by at least pi
+        with pytest.raises(DomainError):
+            im.profile_simple_check(P_IMM, IMMERSED.closure, n_samples=4)
+
+    @pytest.mark.parametrize("n_samples", [0, 1, 2])
+    def test_fewer_than_three_samples_raise(self, n_samples):
+        with pytest.raises(DomainError):
+            im.profile_simple_check(P_EMB, EMBEDDED.closure, n_samples=n_samples)
+
     def test_embedded_profile_is_simple(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -172,6 +172,16 @@ class TestScanTheta:
         assert "not_immersible" in statuses
         assert len(rows) == 9
 
+    @pytest.mark.parametrize("m_range, ell_range, resolution", [
+        ((0.4, math.nan), (0.66, 0.74), (2, 2)),
+        ((0.4, 0.6), (-math.inf, 0.74), (2, 2)),
+        ((0.4, 0.6), (0.66, 0.74), (0, 2)),
+        ((0.4, 0.6), (0.66, 0.74), (2, -1)),
+    ])
+    def test_bad_ranges_rejected(self, m_range, ell_range, resolution):
+        with pytest.raises(DomainError):
+            mesh_io.scan_theta(1.0, m_range, ell_range, resolution)
+
 
 # Per-element loop versions of the mesh pipeline, kept as references for the
 # array code: the arithmetic is the same, so results must be equal exactly.

@@ -71,6 +71,16 @@ class TestEnergyWindow:
         assert pp.RicciParams(a=4.0, c=1.0, m=1.0, ell=1.0).degenerate
         assert not pp.RicciParams(a=4.0, c=1.0, m=1.0, ell=2.0).degenerate
 
+    @pytest.mark.parametrize("field", ["a", "c", "m", "ell"])
+    def test_non_finite_rejected(self, field):
+        values = dict(a=4.0, c=1.0, m=1.0, ell=2.0)
+        for bad in (math.nan, math.inf):
+            values[field] = bad
+            with pytest.raises(DomainError):
+                pp.RicciParams(**values)
+            with pytest.raises(DomainError):
+                pp.period_integral(**values)
+
 
 class TestTurningPoints:
     def test_quartic_closed_form(self):

@@ -34,6 +34,16 @@ class TestClassify:
         with pytest.raises(DomainError):
             sf.classify(0.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        for c, m, ell in ((bad, 0.5, 0.8), (1.0, bad, 0.8), (1.0, 0.5, bad)):
+            with pytest.raises(DomainError):
+                sf.classify(c, m, ell)
+            with pytest.raises(DomainError):
+                SphericalParams(c=c, m=m, ell=ell)
+        with pytest.raises(DomainError):
+            SphericalParams(c=1.0, m=0.5, ell=0.8, phase=bad)
+
 
 class TestClosedForm:
     def test_value_at_origin(self):

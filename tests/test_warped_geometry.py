@@ -140,6 +140,10 @@ class TestRicciResidual:
         with pytest.raises(NonFiniteDerivative):
             wg.ricci_residual(profile, wg.RicciType(a=4.0, c=1.0), [1e-7])
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(DomainError):
+            wg.ricci_residual(flat_profile(), wg.RicciType(a=4.0, c=1.0), [])
+
 
 class TestRescale:
     def test_identity(self):
