@@ -28,6 +28,7 @@ from .errors import (
     NotImmersible,
     PoleSingularity,
     RangeError,
+    require_finite,
 )
 from .phase_portrait import _quad_checked
 from .spherical_family import Classification, SphericalParams
@@ -166,6 +167,8 @@ def theta_limits(c: float, which: str, m: Optional[float] = None,
       "ell_to_upper"   -- ell -> (cm+1)/2:                      +inf
     General c reduces to c = 1 through the scaling map m -> c m.
     """
+    require_finite(c=c, **{k: v for k, v in (("m", m), ("ell", ell))
+                           if v is not None})
     if c <= 0:
         raise DomainError(f"c must be positive, got {c}")
     if which == "m_to_boundary":
@@ -206,6 +209,7 @@ def detect_closure(theta_total: float, q_max: int = 50,
                    tol: float = 1e-8) -> Optional[ClosureResult]:
     """First continued-fraction convergent p/q of Theta/(2 pi) with q <= q_max
     and |q Theta - 2 pi p| <= tol; None when no convergent qualifies."""
+    require_finite(theta_total=theta_total, tol=tol)
     if theta_total <= 0 or q_max < 1:
         raise DomainError("detect_closure needs Theta > 0 and q_max >= 1")
     x = theta_total / (2.0 * math.pi)
@@ -240,8 +244,8 @@ def solve_for_ell(c: float, m: float, target_p: int = 1, target_q: int = 1,
     """Find ell with Theta(m, ell) = 2 pi p / q by scan-then-bracket.
 
     Theta is not assumed monotone in ell: all sign-change brackets at the
-    scan resolution are collected and the smallest root is refined by a
-    bisection-safeguarded secant iteration.
+    scan resolution are collected and the smallest root is refined by
+    Brent's method.
     """
     if not 0.0 < c * m < 1.0:
         raise NotImmersible(f"solve_for_ell needs 0 < c*m < 1, got c*m={c * m}")
@@ -272,26 +276,12 @@ def solve_for_ell(c: float, m: float, target_p: int = 1, target_q: int = 1,
             f"{target + max(values)}]"
         )
 
-    a_, b_ = brackets[0]
-    fa, fb = h_of(a_), h_of(b_)
-    root, froot = (a_, fa) if abs(fa) < abs(fb) else (b_, fb)
-    for _ in range(200):
-        if abs(froot) <= tol:
-            break
-        if fb != fa:
-            cand = b_ - fb * (b_ - a_) / (fb - fa)
-        else:
-            cand = 0.5 * (a_ + b_)
-        if not (min(a_, b_) < cand < max(a_, b_)):
-            cand = 0.5 * (a_ + b_)
-        fc = h_of(cand)
-        root, froot = cand, fc
-        if fa * fc <= 0.0:
-            b_, fb = cand, fc
-        else:
-            a_, fa = cand, fc
+    from scipy.optimize import brentq  # kept off the module import path
+    root = brentq(h_of, *brackets[0], xtol=1e-15,
+                  rtol=4.0 * np.finfo(float).eps, disp=False)
+    froot = h_of(root)
     if abs(froot) > tol:
-        raise NoBracket(f"secant refinement stalled at |Theta - target| = {abs(froot)}")
+        raise NoBracket(f"Brent refinement stopped at |Theta - target| = {abs(froot)}")
 
     return SolveResult(ell=float(root), theta_total=target + froot,
                        closure=ClosureResult(p=p, q=q, embedded=(p == 1)),

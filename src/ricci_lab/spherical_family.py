@@ -155,17 +155,18 @@ def f_closed(params: SphericalParams, s):
 
 
 def metric_profile(params: SphericalParams) -> wg.MetricProfile:
-    """Closed-form MetricProfile (with 3rd/4th derivatives) for this family."""
+    """Closed-form MetricProfile; its derivs is one f_derivs call per grid."""
     _require_family(params)
-    return wg.MetricProfile(
-        f=lambda s: float(f_derivs(params, s)[0]),
-        df=lambda s: float(f_derivs(params, s)[1]),
-        d2f=lambda s: float(f_derivs(params, s)[2]),
-        d3f=lambda s: float(f_derivs(params, s)[3]),
-        d4f=lambda s: float(f_derivs(params, s)[4]),
-        domain=(-math.inf, math.inf),
-        provenance="closed-form",
-    )
+
+    def derivs(s):
+        return f_derivs(params, s)
+
+    def component(k):
+        return lambda s: float(derivs(s)[k])
+
+    return wg.MetricProfile(f=component(0), df=component(1), d2f=component(2),
+                            domain=(-math.inf, math.inf),
+                            provenance="closed-form", derivs=derivs)
 
 
 def edo_residual(params: SphericalParams, s_grid) -> float:
@@ -259,6 +260,7 @@ def delaunay_parameters(params: SphericalParams):
 
 def minimal_params(c: float, j: float):
     """Minimal-surface modulus j in (0,1) -> (m, ell) = ((1-j^2)/(4c), 1/2)."""
+    require_finite(c=c, j=j)
     if not 0.0 < j < 1.0:
         raise RangeError(f"j must lie in (0, 1), got {j}")
     if c <= 0:
@@ -268,6 +270,7 @@ def minimal_params(c: float, j: float):
 
 def minimal_modulus(c: float, m: float) -> float:
     """Inverse map: (m, ell=1/2) with m in (0, 1/(4c)) -> j = sqrt(1 - 4cm)."""
+    require_finite(c=c, m=m)
     if c <= 0:
         raise DomainError(f"c must be positive, got {c}")
     if not 0.0 < m < 1.0 / (4.0 * c):

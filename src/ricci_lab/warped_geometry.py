@@ -2,9 +2,9 @@
 
 Curvature of the warped chart is K = -f''/f; the rotationally invariant
 Laplacian of an s-only function is u'' + (f'/f) u'.  The generalized Ricci
-residual R = (K - c) Lap(K) - (K')^2 - (a K + b)(K - c)^2 is evaluated from
-closed-form derivatives when the profile carries them, otherwise from
-4th-order central differences.
+residual R = (K - c) Lap(K) - (K')^2 - (a K + b)(K - c)^2 is evaluated in one
+array pass from closed-form derivatives when the profile carries them,
+otherwise from per-point 4th-order central differences.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ class RicciType:
 class MetricProfile:
     """Warping function with derivative evaluators on an open s-interval.
 
-    d3f/d4f are optional; when present the curvature derivatives entering the
-    Ricci residual are closed-form instead of finite-differenced.
+    f, df and d2f take one s.  derivs is optional: it takes an array of s and
+    returns the arrays (f, f', f'', f''', f''''); when present the Ricci
+    residual is closed-form instead of finite-differenced.
     """
 
     f: Callable[[float], float]
@@ -64,8 +65,7 @@ class MetricProfile:
     d2f: Callable[[float], float]
     domain: tuple
     provenance: str = "closed-form"
-    d3f: Optional[Callable[[float], float]] = None
-    d4f: Optional[Callable[[float], float]] = None
+    derivs: Optional[Callable[[np.ndarray], tuple]] = None
 
     def check_point(self, s: float) -> float:
         lo, hi = self.domain
@@ -118,19 +118,8 @@ def _fd_step(s: float) -> float:
 
 
 def _curvature_derivs(profile: MetricProfile, s: float):
-    """(K, K', K'') at s, closed-form when d3f/d4f exist, else 4th-order FD."""
+    """(K, K', Lap K) at s from 4th-order central differences of K."""
     fv = profile.check_point(s)
-    if profile.d3f is not None and profile.d4f is not None:
-        f1 = profile.df(s)
-        f2 = profile.d2f(s)
-        f3 = profile.d3f(s)
-        f4 = profile.d4f(s)
-        k = -f2 / fv
-        k1 = -f3 / fv + f2 * f1 / fv**2
-        k2 = (-f4 / fv + 2.0 * f3 * f1 / fv**2 + f2**2 / fv**2
-              - 2.0 * f2 * f1**2 / fv**3)
-        return k, k1, k2
-
     h = _fd_step(s)
     lo, hi = profile.domain
     if not (lo < s - 2.0 * h and s + 2.0 * h < hi):
@@ -143,7 +132,24 @@ def _curvature_derivs(profile: MetricProfile, s: float):
         12.0 * h * h)
     if not (math.isfinite(k1) and math.isfinite(k2)):
         raise NonFiniteDerivative(f"non-finite curvature derivative at s={s}")
-    return kv[2], k1, k2
+    return kv[2], k1, k2 + (profile.df(s) / fv) * k1
+
+
+def _closed_form_curvature(profile: MetricProfile, s: np.ndarray):
+    """(K, K', Lap K) on the whole grid from one call of profile.derivs."""
+    lo, hi = profile.domain
+    outside = ~((lo < s) & (s < hi))
+    if outside.any():
+        raise DomainError(f"s={s[outside][0]} outside domain ({lo}, {hi})")
+    f, f1, f2, f3, f4 = profile.derivs(s)
+    if np.any(f <= 0):
+        i = np.argmax(f <= 0)
+        raise DegenerateProfile(f"f({s[i]}) = {f[i]} <= 0")
+    k = -f2 / f
+    k1 = -f3 / f + f2 * f1 / f**2
+    k2 = (-f4 / f + 2.0 * f3 * f1 / f**2 + f2**2 / f**2
+          - 2.0 * f2 * f1**2 / f**3)
+    return k, k1, k2 + (f1 / f) * k1
 
 
 @dataclass(frozen=True)
@@ -164,18 +170,17 @@ def ricci_residual(profile: MetricProfile, rtype: RicciType,
     """
     a, b, c = rtype.a, rtype.b, rtype.c
     s_grid = np.asarray(s_grid, dtype=float)
-    if s_grid.size == 0:
-        raise DomainError("ricci_residual needs a non-empty grid")
-    residuals = []
-    gap_max = 0.0
-    for s in s_grid:
-        k, k1, k2 = _curvature_derivs(profile, s)
-        fv = profile.f(s)
-        lap_k = k2 + (profile.df(s) / fv) * k1
-        gap = k - c
-        gap_max = max(gap_max, abs(gap))
-        residuals.append(gap * lap_k - k1 * k1 - (a * k + b) * gap * gap)
-    residuals = np.asarray(residuals)
+    if s_grid.ndim != 1 or s_grid.size == 0:
+        raise DomainError(f"ricci_residual needs a non-empty 1-D grid, got "
+                          f"shape {s_grid.shape}")
+    if profile.derivs is not None:
+        k, k1, lap_k = _closed_form_curvature(profile, s_grid)
+    else:
+        k, k1, lap_k = np.array(
+            [_curvature_derivs(profile, s) for s in s_grid]).T
+    gap = k - c
+    residuals = gap * lap_k - k1 * k1 - (a * k + b) * gap * gap
+    gap_max = float(np.max(np.abs(gap)))
     scale = max(1.0, gap_max, gap_max**3)
     return ResidualReport(residuals=residuals,
                           max_normalized=float(np.max(np.abs(residuals)) / scale),

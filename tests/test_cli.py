@@ -187,6 +187,9 @@ class TestInvalidInputs:
          "--ell-max", "nan", "--nm", "2", "--nell", "2"],
         ["scan", "--m-min", "0.4", "--m-max", "0.6", "--ell-min", "0.66",
          "--ell-max", "0.74", "--nm", "-1", "--nell", "2"],
+        ["minimal", "--c", "nan", "--j", "0.5"],
+        ["minimal", "--c", "inf", "--j", "0.5"],
+        ["theta", "--m", "0.51", "--ell", "0.73", "--tol", "nan"],
     ], ids=" ".join)
     def test_is_precondition_failure(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

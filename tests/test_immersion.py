@@ -200,6 +200,16 @@ class TestThetaLimits:
         with pytest.raises(DomainError):
             im.theta_limits(-1.0, "m_to_zero", ell=0.5)
 
+    @pytest.mark.parametrize("c, which, kw", [
+        (math.nan, "m_to_boundary", {"ell": 0.5}),
+        (math.inf, "m_to_zero", {"ell": 0.5}),
+        (1.0, "m_to_boundary", {"ell": math.nan}),
+        (1.0, "ell_to_lower", {"m": math.inf}),
+    ])
+    def test_non_finite_inputs_rejected(self, c, which, kw):
+        with pytest.raises(DomainError):
+            im.theta_limits(c, which, **kw)
+
 
 class TestDetectClosure:
     def test_full_turn(self):
@@ -231,6 +241,16 @@ class TestDetectClosure:
         with pytest.raises(DomainError):
             im.ClosureResult(p=0, q=1, embedded=True)
 
+    @pytest.mark.parametrize("theta_total, tol", [
+        (2.0 * math.pi, math.nan),
+        (2.0 * math.pi, math.inf),
+        (math.nan, 1e-8),
+        (math.inf, 1e-8),
+    ])
+    def test_non_finite_inputs_rejected(self, theta_total, tol):
+        with pytest.raises(DomainError):
+            im.detect_closure(theta_total, tol=tol)
+
 
 class TestSolveForEll:
     def test_embedded_target(self):
@@ -256,6 +276,22 @@ class TestSolveForEll:
     def test_inadmissible_m(self):
         with pytest.raises(NotImmersible):
             im.solve_for_ell(1.0, 1.5, 1, 1)
+
+    @pytest.mark.parametrize("m, p, q, ell", [
+        (0.2, 1, 1, 0.5984746070808963),
+        (0.12, 1, 1, 0.559815308783648),
+        (0.6, 2, 1, 0.7998618981895523),
+    ])
+    def test_convex_bracket_converges(self, m, p, q, ell):
+        # Theta is convex on the first bracket here; a refinement that keeps
+        # one bracket end fixed stalls short of the tolerance.
+        res = im.solve_for_ell(1.0, m, p, q)
+        params = SphericalParams(c=1.0, m=m, ell=res.ell)
+        assert abs(im.big_theta(params) - 2.0 * math.pi * p / q) <= 1e-10
+        assert res.ell == pytest.approx(ell, rel=1e-13)
+        assert (res.closure.p, res.closure.q) == (p, q)
+        assert res.closure.embedded == (p == 1)
+        assert im.profile_simple_check(params, res.closure) == (p == 1)
 
 
 class TestMeanCurvature:

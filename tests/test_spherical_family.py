@@ -258,3 +258,11 @@ class TestMinimalMap:
             sf.minimal_modulus(1.0, 0.3)
         with pytest.raises(DomainError):
             sf.minimal_params(-1.0, 0.5)
+
+    @pytest.mark.parametrize("c, x", [(math.nan, 0.5), (math.inf, 0.5),
+                                      (1.0, math.nan), (1.0, -math.inf)])
+    def test_non_finite_inputs_rejected(self, c, x):
+        with pytest.raises(DomainError):
+            sf.minimal_params(c, x)
+        with pytest.raises(DomainError):
+            sf.minimal_modulus(c, x * 0.1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricci_lab import spherical_family as sf
 from ricci_lab import warped_geometry as wg
@@ -15,10 +17,10 @@ from ricci_lab.phase_portrait import RicciParams
 from ricci_lab.spherical_family import SphericalParams
 
 
-def sin_profile():
+def sin_profile(derivs=None):
     return wg.MetricProfile(
         f=math.sin, df=math.cos, d2f=lambda s: -math.sin(s),
-        domain=(0.0, math.pi), provenance="closed-form",
+        domain=(0.0, math.pi), provenance="closed-form", derivs=derivs,
     )
 
 
@@ -143,6 +145,122 @@ class TestRicciResidual:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             wg.ricci_residual(flat_profile(), wg.RicciType(a=4.0, c=1.0), [])
+
+    @pytest.mark.parametrize("grid", [0.5, [[0.5, 0.6], [0.7, 0.8]]])
+    def test_grid_that_is_not_one_dimensional_rejected(self, grid):
+        full = sf.metric_profile(SphericalParams(c=1.0, m=0.5, ell=0.8))
+        fd_only = wg.MetricProfile(f=full.f, df=full.df, d2f=full.d2f,
+                                   domain=full.domain)
+        for profile in (full, fd_only):
+            with pytest.raises(DomainError):
+                wg.ricci_residual(profile, wg.RicciType(a=4.0, c=1.0), grid)
+
+
+def pointwise_residual_reference(params, s_grid, a=4.0, b=0.0):
+    """The closed-form residual one grid point at a time, each derivative a
+    separate scalar f_derivs call: (residuals, max_normalized, scale)."""
+    c = params.c
+    residuals = []
+    gap_max = 0.0
+    for s in np.asarray(s_grid, dtype=float):
+        fv, f1, f2, f3, f4 = (float(sf.f_derivs(params, s)[i]) for i in range(5))
+        k = -f2 / fv
+        k1 = -f3 / fv + f2 * f1 / fv**2
+        k2 = (-f4 / fv + 2.0 * f3 * f1 / fv**2 + f2**2 / fv**2
+              - 2.0 * f2 * f1**2 / fv**3)
+        lap_k = k2 + (f1 / fv) * k1
+        gap = k - c
+        gap_max = max(gap_max, abs(gap))
+        residuals.append(gap * lap_k - k1 * k1 - (a * k + b) * gap * gap)
+    residuals = np.asarray(residuals)
+    scale = max(1.0, gap_max, gap_max**3)
+    return residuals, float(np.max(np.abs(residuals)) / scale), scale
+
+
+def assert_matches_reference(params, grid, tol=1e-14):
+    """Array route against the reference, within tol relative to the scale."""
+    report = wg.ricci_residual(sf.metric_profile(params),
+                               wg.RicciType(a=4.0, c=params.c), grid)
+    residuals, max_normalized, scale = pointwise_residual_reference(params, grid)
+    assert report.scale == pytest.approx(scale, rel=tol)
+    assert np.max(np.abs(report.residuals - residuals)) <= tol * scale
+    assert abs(report.max_normalized - max_normalized) <= tol
+    return report
+
+
+def sin_derivs(s):
+    return np.sin(s), np.cos(s), -np.sin(s), -np.cos(s), np.sin(s)
+
+
+class TestArrayResidual:
+    @pytest.mark.parametrize("c, m, ell", [
+        (1.0, 0.5, 0.8), (1.0, 0.51, 0.73), (2.0, 0.2, 0.9),
+        (0.5, 1.0, 0.9), (4.0, 0.1275, 0.73),
+    ])
+    def test_matches_pointwise_reference(self, c, m, ell):
+        params = SphericalParams(c=c, m=m, ell=ell)
+        period = params.period
+        for grid in (np.linspace(-1.5 * period, 2.0 * period, 211),
+                     np.linspace(0.0, period, 512)):
+            assert_matches_reference(params, grid)
+
+    @settings(deadline=None, max_examples=60)
+    @given(c=st.floats(0.25, 4.0), cm=st.floats(1e-3, 3.0),
+           gap=st.floats(1e-6, 3.0), s0=st.floats(-10.0, 10.0))
+    def test_admissible_family_solves_equation(self, c, cm, gap, s0):
+        params = SphericalParams(c=c, m=cm / c, ell=math.sqrt(cm) + gap)
+        grid = s0 + np.linspace(0.0, 2.0 * params.period, 64)
+        # Array and scalar sin/cos may differ in the last bit, and the
+        # rounding of f^2 near its minimum grows like f_sq_max / f_sq_min
+        # (about 2 ell^2 / (c m) when c m is small).
+        cond = params.f_sq_max / params.f_sq_min
+        report = assert_matches_reference(
+            params, grid, tol=8.0 * np.finfo(float).eps * cond)
+        assert report.max_normalized <= 1e-8
+
+    def test_one_f_derivs_call_per_residual(self, monkeypatch):
+        calls = []
+        real = sf.f_derivs
+
+        def counted(params, s):
+            calls.append(np.shape(s))
+            return real(params, s)
+
+        monkeypatch.setattr(sf, "f_derivs", counted)
+        params = SphericalParams(c=1.0, m=0.5, ell=0.8)
+        profile = sf.metric_profile(params)
+        wg.ricci_residual(profile, wg.RicciType(a=4.0, c=1.0),
+                          np.linspace(0.0, params.period, 512))
+        assert calls == [(512,)]
+
+    def test_constant_curvature_chart_with_derivs(self):
+        profile = sin_profile(sin_derivs)
+        report = wg.ricci_residual(profile, wg.RicciType(a=4.0, c=1.0),
+                                   np.linspace(0.01, math.pi - 0.01, 32))
+        assert report.max_normalized <= 1e-14
+
+    def test_one_point_outside_domain_raises(self):
+        profile = sin_profile(sin_derivs)
+        grid = np.linspace(0.5, 2.5, 9)
+        grid[6] = 4.0
+        with pytest.raises(DomainError, match="s=4.0 outside"):
+            wg.ricci_residual(profile, wg.RicciType(a=4.0, c=1.0), grid)
+        grid[6] = math.nan
+        with pytest.raises(DomainError, match="s=nan outside"):
+            wg.ricci_residual(profile, wg.RicciType(a=4.0, c=1.0), grid)
+
+    def test_one_nonpositive_point_raises(self):
+        def cos_derivs(s):
+            return np.cos(s), -np.sin(s), -np.cos(s), np.sin(s), np.cos(s)
+
+        profile = wg.MetricProfile(
+            f=math.cos, df=lambda s: -math.sin(s), d2f=lambda s: -math.cos(s),
+            domain=(-math.inf, math.inf), derivs=cos_derivs,
+        )
+        grid = np.linspace(-1.0, 1.0, 9)
+        grid[3] = 2.0
+        with pytest.raises(DegenerateProfile, match=r"f\(2.0\)"):
+            wg.ricci_residual(profile, wg.RicciType(a=4.0, c=1.0), grid)
 
 
 class TestRescale:
