@@ -10,6 +10,9 @@ which is bounded away from 0 and infinity precisely on the admissible set
 (m < 1/c and sqrt(cm) < ell < (cm + 1)/2).  The curve closes iff the
 per-period advance Theta = theta(pi/sqrt(c)) is a rational multiple of
 2 pi, and the swept torus is embedded when Theta = 2 pi / n.
+
+theta and Theta are closed forms in Carlson's integrals R_F and R_J (see
+_carlson_form); no quadrature is involved.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import spherical_family as sf
+from ._carlson import rf_rj
 from .errors import (
     DomainError,
     NoBracket,
@@ -30,7 +34,6 @@ from .errors import (
     RangeError,
     require_finite,
 )
-from .phase_portrait import _quad_checked
 from .spherical_family import Classification, SphericalParams
 
 __all__ = [
@@ -81,45 +84,99 @@ def theta_rate(params: SphericalParams, s) -> float:
     return _rate_of_fsq(params, f * f)
 
 
+def _carlson_form(c, m, ell, A, gap):
+    """Constants (P, alpha, beta/h-, rho/3, y, z, k) of theta in Carlson form.
+
+    A = sqrt(ell^2 - c m) and gap = (1 - 2 ell) + c m are the two distances
+    that vanish on the lower and upper boundary; they come in formed, so
+    that neither is recomputed by cancellation.  With g- = m/(ell + A) and
+    g+ = (ell + A)/c the extremes of f^2, D = gap/(1 - ell + A) = 1 - c g+,
+    h- = 1 - c m/(ell + A) = 1 - c g-, N- = m (1 - ell + A)/(ell + A) and
+    N+ = (ell + A) D / c:
+
+        P = 1/sqrt(g- N-), alpha = (2 ell - 1)/c, beta = gap/c,
+        y = g+/g-, z = N+/N-, k = D/h-, rho = 1 - k.
+
+    The third-kind term is written from the g- side: from the g+ side a
+    1/D would multiply a difference and lose about eps/gap.
+    """
+    s = ell + A
+    g_lo = m / s
+    g_hi = s / c
+    d = gap / (1.0 - ell + A)
+    h_lo = 1.0 - c * m / s
+    n_lo = m * (1.0 - ell + A) / s
+    n_hi = s * d / c
+    k = d / h_lo
+    return (1.0 / np.sqrt(g_lo * n_lo), (2.0 * ell - 1.0) / c,
+            gap / c / h_lo, (1.0 - k) / 3.0, g_hi / g_lo, n_hi / n_lo, k)
+
+
+def _form(params: SphericalParams):
+    """_carlson_form of immersible params.
+
+    A is params.amplitude, which is 0 where rounding makes ell^2 - c m
+    negative on the constant boundary; the form is continuous onto A = 0
+    (y = z = k = 1), so that boundary needs no branch of its own.
+    """
+    _require_immersible(params)
+    c, m, ell = params.c, params.m, params.ell
+    return _carlson_form(c, m, ell, params.amplitude, (1.0 - 2.0 * ell) + c * m)
+
+
 @lru_cache(maxsize=512)
 def big_theta(params: SphericalParams) -> float:
-    """Rotation advance over one fundamental period: Theta = theta(pi/sqrt(c))."""
-    cls = _require_immersible(params)
-    T = params.period
-    if cls is Classification.BOUNDARY_CONSTANT:
-        return float(theta_rate(params, 0.0)) * T
-    return _quad_checked(lambda s: theta_rate(params, s), 0.0, T,
-                         points=(0.25 * T, 0.75 * T))
+    """Rotation advance over one fundamental period: Theta = theta(pi/sqrt(c)).
+
+    Theta = 2 P [alpha R_F(0, y, z) + beta (R_F(0, y, z)
+            + (rho/3) R_J(0, y, z, k)) / h-]
+    """
+    P, alpha, beta_h, rho3, y, z, k = _form(params)
+    rf, rj = rf_rj(0.0, y, z, k)
+    return float(2.0 * P * (alpha * rf + beta_h * (rf + rho3 * rj)))
+
+
+def _theta_values(params: SphericalParams, s) -> np.ndarray:
+    """theta at an array of s in one kernel call.
+
+    With psi = sqrt(c) s + pi/4 + phase/2 the profile is
+    f^2 = g- cos^2 psi + g+ sin^2 psi, and theta = H(psi(s)) - H(psi(0)),
+    where H(psi) = n Theta + H(psi - n pi) for n = round(psi/pi) and, for
+    r in [-pi/2, pi/2], x = sin r and X = cos^2 r,
+
+        H(r) = P [alpha x R_F(X, Y, Z) + beta (x R_F(X, Y, Z)
+               + (rho/3) x^3 R_J(X, Y, Z, W)) / h-]
+
+    with Y = X + y x^2, Z = X + z x^2 and W = X + k x^2 formed as sums.
+    """
+    P, alpha, beta_h, rho3, y, z, k = _form(params)
+    psi0 = 0.25 * math.pi + 0.5 * params.phase
+    psi = np.append(psi0, math.sqrt(params.c) * np.asarray(s, dtype=float) + psi0)
+    n = np.round(psi / math.pi)
+    r = psi - n * math.pi
+    x = np.sin(r)
+    X = np.cos(r) ** 2
+    x2 = x * x
+    rf, rj = rf_rj(X, X + y * x2, X + z * x2, X + k * x2)
+    h = n * big_theta(params) + P * (alpha * x * rf
+                                     + beta_h * (x * rf + rho3 * x * x2 * rj))
+    return h[1:] - h[0]
 
 
 def theta(params: SphericalParams, s: float) -> float:
-    """theta(s) by adaptive quadrature of theta', folded by quasi-periodicity."""
-    _require_immersible(params)
-    T = params.period
-    n = math.floor(s / T)
-    r = s - n * T
-    base = n * big_theta(params) if n else 0.0
-    if r == 0.0:
-        return base
-    return base + _quad_checked(lambda u: theta_rate(params, u), 0.0, r,
-                                points=(0.25 * T, 0.75 * T))
+    """theta(s), the rotation angle of the profile point at s; theta(0) = 0."""
+    require_finite(s=s)
+    return float(_theta_values(params, [s])[0])
 
 
 def theta_grid(params: SphericalParams, s_values) -> np.ndarray:
-    """theta at an increasing grid of s >= 0, by cumulative quadrature."""
+    """theta at an increasing grid of s >= 0, in one kernel call."""
     _require_immersible(params)
     s = np.asarray(s_values, dtype=float)
-    if s.size and (s[0] < 0 or np.any(np.diff(s) <= 0)):
-        raise DomainError("theta_grid expects an increasing grid of s >= 0")
-    out = np.empty_like(s)
-    acc = 0.0
-    prev = 0.0
-    for i, si in enumerate(s):
-        if si > prev:
-            acc += _quad_checked(lambda u: theta_rate(params, u), prev, si)
-            prev = si
-        out[i] = acc
-    return out
+    if s.size and not (np.all(np.isfinite(s)) and s[0] >= 0
+                       and np.all(np.diff(s) > 0)):
+        raise DomainError("theta_grid expects an increasing grid of finite s >= 0")
+    return _theta_values(params, s)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ The second-order equation is analyzed through its first-order system
 Periodic orbits live on compact level sets E = ell surrounding the unique
 positive equilibrium, and their minimal period is computed two independent
 ways: a turning-point quadrature and a return-map ODE integration.
+
+SciPy is imported inside the functions that use it, so importing this
+module (and the CLI, which imports it) loads numpy only.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (
     BlowUp,
@@ -152,6 +153,8 @@ def turning_points(a: float, c: float, m: float, ell: float):
             math.sqrt((ell + disc) / c),
         )
 
+    from scipy.optimize import brentq
+
     def g(x):
         return potential(a, c, m, x) - ell
 
@@ -171,6 +174,8 @@ def _quad_checked(fn, lo, hi, *, epsabs=1e-12, epsrel=1e-10, limit=2000, points=
         points = [p for p in points if lo < p < hi]
         if not points:
             points = None
+    from scipy.integrate import quad
+
     out = quad(fn, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit,
                points=points, full_output=1)
     val, abserr = out[0], out[1]
@@ -287,6 +292,8 @@ def integrate_orbit(a, c, m, x0, y0, s_span, rtol=1e-11, atol=1e-11,
     _check_signs(a, c, m)
     if x0 <= 0:
         raise DomainError(f"integrate_orbit requires x0 > 0, got {x0}")
+    from scipy.integrate import solve_ivp
+
     rhs, hit_guard = _orbit_ode(a, c, m, guard)
     t_eval = np.linspace(s_span[0], s_span[1], n_out) if n_out else None
     sol = solve_ivp(rhs, s_span, (x0, y0), method="DOP853", rtol=rtol, atol=atol,
@@ -315,6 +322,8 @@ def orbit_period_numeric(a, c, m, ell, rtol=1e-11, atol=1e-11) -> float:
     only at x = x+).
     """
     win = _checked_level(a, c, m, ell)
+    from scipy.integrate import solve_ivp
+
     x_star = win.equilibrium
     y0 = -math.sqrt(2.0 * (ell - win.lower))
     rhs, hit_guard = _orbit_ode(a, c, m, 1e-8)
@@ -364,6 +373,8 @@ def conformal_profile_check(params: RicciParams, n_grid: int = 512) -> Conformal
         y0 = -math.log(f0)
         res = abs(c * math.exp(-2.0 * y0) - m * math.exp((a - 2.0) * y0))
         return ConformalCheck(max_residual=res, delaunay_type=delaunay)
+
+    from scipy.integrate import solve_ivp
 
     period = period_integral(a, c, m, ell)
     s_hi = 2.0 * period

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -25,6 +26,10 @@ SUBCOMMANDS = {
              "--ns", "32", "--nt", "8", "--project"],
     "minimal": ["minimal", "--j", "0.6"],
 }
+
+
+GOLDEN_SHA256 = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cli_sha256.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -221,15 +226,60 @@ class TestOut:
         assert str(target) in err
 
 
-def test_module_entry_point_runs_without_warning():
+def subprocess_env():
     src = str(pathlib.Path(ricci_lab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_entry_point_runs_without_warning():
     for module in ("ricci_lab.cli", "ricci_lab"):
         proc = subprocess.run(
             [sys.executable, "-m", module, "minimal", "--j", "0.5"],
-            capture_output=True, text=True, env=env, timeout=120)
+            capture_output=True, text=True, env=subprocess_env(), timeout=120)
         assert proc.returncode == 0, module
         assert proc.stderr == "", module
         assert json.loads(proc.stdout)["m"] == pytest.approx(0.1875)
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256))
+def test_stdout_matches_golden_sha256(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0, err
+    got = hashlib.sha256(out.encode()).hexdigest()
+    assert got == GOLDEN_SHA256[argv], (
+        f"argv {argv.split()}: stdout SHA-256 {got}, golden "
+        f"{GOLDEN_SHA256[argv]}. A change that moves this output on purpose "
+        "updates tests/golden/cli_sha256.json; a numpy, scipy or libm "
+        "update can also move last digits.")
+
+
+def test_theta_next_to_the_upper_boundary(capsys):
+    code, out, _ = run_cli(capsys, "theta", "--m", "0.51", "--ell",
+                           "0.7549999999")
+    assert code == 0
+    assert json.loads(out)["Theta"] == pytest.approx(25.70779135429, abs=5e-12)
+
+
+def test_imports_load_no_scipy():
+    for module in ("ricci_lab.cli", "ricci_lab.phase_portrait"):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}; print(sorted(k for k in sys.modules "
+             "if k.startswith('scipy')))"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
+
+
+@pytest.mark.parametrize("argv", sorted(
+    a for a in GOLDEN_SHA256 if a.split()[0] in ("theta", "scan", "mesh")))
+def test_runs_with_runtime_warnings_as_errors(argv):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ricci_lab",
+         *argv.split()],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

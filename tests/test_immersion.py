@@ -1,6 +1,9 @@
+import json
 import math
+import pathlib
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -125,6 +128,85 @@ class TestTheta:
     def test_grid_requires_increasing_input(self):
         with pytest.raises(DomainError):
             im.theta_grid(P_EMB, [0.5, 0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_s_rejected(self, bad):
+        with pytest.raises(DomainError):
+            im.theta(P_EMB, bad)
+        with pytest.raises(DomainError):
+            im.theta_grid(P_EMB, [0.0, 0.5, bad])
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def theta_mp(c, m, ell, s_values):
+    """theta(s) by 30-digit mpmath quadrature of theta', split at quarter periods."""
+    with mp.workdps(30):
+        c, m, ell = mp.mpf(c), mp.mpf(m), mp.mpf(ell)
+        amp = mp.sqrt(ell * ell - c * m)
+
+        def rate(u):
+            g = (ell + amp * mp.sin(2 * mp.sqrt(c) * u)) / c
+            return (mp.sqrt(c) * mp.sqrt(m + (1 - 2 * ell) * g)
+                    / (mp.sqrt(g) * (1 - c * g)))
+
+        quarter = mp.pi / mp.sqrt(c) / 4
+        out = []
+        for s in map(mp.mpf, s_values):
+            knots = [quarter * j for j in range(int(s / quarter) + 1)]
+            out.append(float(mp.quad(rate, knots + [s])))
+        return out
+
+
+class TestCarlsonForm:
+    def test_theta_matches_mpmath_golden_values(self):
+        cells = json.loads((GOLDEN / "theta_mpmath.json").read_text())["cells"]
+        assert len(cells) == 59
+        for cell in cells:
+            got = im.big_theta(SphericalParams(c=cell["c"], m=cell["m"],
+                                               ell=cell["ell"]))
+            want = float(cell["Theta"])
+            # a NaN compares false, so finiteness is asserted on its own
+            assert math.isfinite(got), cell
+            assert abs(got - want) <= 1e-14 * want, cell
+
+    @pytest.mark.parametrize("c, m, ell", [
+        (1.0, 0.51, 0.73), (4.0, 0.1275, 0.73), (0.5, 0.2, 0.45),
+    ])
+    def test_theta_over_three_periods_matches_mpmath(self, c, m, ell):
+        p = SphericalParams(c=c, m=m, ell=ell)
+        s = np.array([0.13, 0.5, 1.0, 1.37, 2.25, 3.0]) * p.period
+        want = theta_mp(c, m, ell, s)
+        got = im.theta_grid(p, s)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+        for si, wi in zip(s, want):
+            assert abs(im.theta(p, float(si)) - wi) <= 2e-15 * wi
+
+    def test_theta_depends_on_c_m_only_through_cm(self):
+        assert (im.big_theta(SphericalParams(c=4.0, m=0.1275, ell=0.73))
+                == im.big_theta(SphericalParams(c=1.0, m=0.51, ell=0.73)))
+
+    @pytest.mark.parametrize("c, cm", [(1.0, 0.25), (1.0, 0.04), (2.0, 0.2)])
+    def test_constant_boundary_is_the_constant_rate(self, c, cm):
+        # the closed form is continuous onto A = 0, so it needs no branch there
+        p = SphericalParams(c=c, m=cm / c, ell=math.sqrt(cm))
+        assert p.classification is sf.Classification.BOUNDARY_CONSTANT
+        rate = float(im.theta_rate(p, 0.0))
+        assert abs(im.big_theta(p) - rate * p.period) <= 1e-15 * rate * p.period
+
+    def test_clifford_theta_is_linear(self):
+        s = np.linspace(0.0, 3.0 * CLIFFORD.period, 25)
+        want = math.sqrt(2.0) * s
+        assert np.all(np.abs(im.theta_grid(CLIFFORD, s) - want) <= 1e-14 * want[-1])
+
+    def test_finite_next_to_the_upper_boundary(self):
+        # quadrature of theta' failed within about 1e-8 of the boundary
+        p = SphericalParams(c=1.0, m=0.51, ell=0.7549999999)
+        assert im.big_theta(p) == pytest.approx(25.70779135429, abs=5e-12)
+        vals = im.theta_grid(p, np.linspace(0.0, 2.0 * p.period, 64))
+        assert np.all(np.isfinite(vals)) and np.all(np.diff(vals) > 0)
 
 
 class TestThetaProfile:
@@ -292,6 +374,27 @@ class TestSolveForEll:
         assert (res.closure.p, res.closure.q) == (p, q)
         assert res.closure.embedded == (p == 1)
         assert im.profile_simple_check(params, res.closure) == (p == 1)
+
+
+    @pytest.mark.parametrize("m, p, q", [
+        (0.1, 1, 1), (0.15, 1, 1), (0.25, 1, 1),
+        (0.02, 2, 3), (0.05, 2, 3), (0.08, 2, 3), (0.1, 2, 3), (0.15, 2, 3),
+    ])
+    def test_roots_near_the_upper_boundary(self, m, p, q):
+        # the 64-point scan evaluates Theta 1e-9 inside the upper boundary,
+        # where quadrature of theta' used to raise QuadratureFailure
+        res = im.solve_for_ell(1.0, m, p, q)
+        params = SphericalParams(c=1.0, m=m, ell=res.ell)
+        assert abs(im.big_theta(params) - 2.0 * math.pi * p / q) <= 1e-10
+        assert (res.closure.p, res.closure.q) == (p, q)
+        if p == 1:
+            assert im.profile_simple_check(params, res.closure)
+
+    def test_root_beyond_the_scan_is_no_bracket(self):
+        # the (1, 1) root at m = 0.02 lies 8.0e-10 of the width below the
+        # upper end, past the last scan point
+        with pytest.raises(NoBracket):
+            im.solve_for_ell(1.0, 0.02, 1, 1)
 
 
 class TestMeanCurvature:
