@@ -56,9 +56,10 @@ def _all(flags) -> bool:
 def rf_rj(x, y, z, p):
     """(R_F(x, y, z), R_J(x, y, z, p)) for x, y, z >= 0 (at most one zero), p > 0.
 
-    Raises QuadratureFailure when the duplication does not converge within
-    its step budget or a result is not finite (for example when the true
-    value overflows); never returns NaN.
+    Raises QuadratureFailure, naming the argument, when one is NaN or inf;
+    when the duplication does not converge within its step budget; or when
+    a result is not finite (for example when the true value overflows).
+    Never returns NaN.
     """
     x, y, z, p = (np.asarray(v)[()] for v in (x, y, z, p))
     with np.errstate(all="ignore"):
@@ -88,6 +89,14 @@ def rf_rj(x, y, z, p):
             a_j = 0.25 * (a_j + lam)
             scale *= 0.25
         else:
+            # a NaN or inf argument never meets the stopping rule; it is
+            # named here, off the converging path
+            bad = [name for name, v in zip("xyzp", (x, y, z, p))
+                   if not _all(np.isfinite(v))]
+            if bad:
+                raise QuadratureFailure(
+                    f"Carlson integral got a non-finite argument "
+                    f"({', '.join(bad)})")
             raise QuadratureFailure(
                 f"Carlson duplication did not converge in {_MAX_STEPS} steps")
 

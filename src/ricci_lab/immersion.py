@@ -124,16 +124,32 @@ def _form(params: SphericalParams):
     return _carlson_form(c, m, ell, params.amplitude, (1.0 - 2.0 * ell) + c * m)
 
 
+def _complete_theta(form):
+    """Theta from the constants of _carlson_form, in one kernel call:
+
+        Theta = 2 P [alpha R_F(0, y, z) + beta (R_F(0, y, z)
+                + (rho/3) R_J(0, y, z, k)) / h-]
+
+    Array and complex constants pass through elementwise.
+    """
+    P, alpha, beta_h, rho3, y, z, k = form
+    rf, rj = rf_rj(0.0, y, z, k)
+    return 2.0 * P * (alpha * rf + beta_h * (rf + rho3 * rj))
+
+
 @lru_cache(maxsize=512)
 def big_theta(params: SphericalParams) -> float:
-    """Rotation advance over one fundamental period: Theta = theta(pi/sqrt(c)).
+    """Rotation advance over one fundamental period: Theta = theta(pi/sqrt(c)),
+    in closed form (_complete_theta)."""
+    return float(_complete_theta(_form(params)))
 
-    Theta = 2 P [alpha R_F(0, y, z) + beta (R_F(0, y, z)
-            + (rho/3) R_J(0, y, z, k)) / h-]
-    """
-    P, alpha, beta_h, rho3, y, z, k = _form(params)
-    rf, rj = rf_rj(0.0, y, z, k)
-    return float(2.0 * P * (alpha * rf + beta_h * (rf + rho3 * rj)))
+
+def _theta_of_ell(c, m, ell):
+    """Theta on the slice c m in (0, 1) at an array of interior ell, or at a
+    complex ell (real part interior), whose imaginary part then carries the
+    derivative in ell."""
+    return _complete_theta(_carlson_form(c, m, ell, np.sqrt(ell * ell - c * m),
+                                         (1.0 - 2.0 * ell) + c * m))
 
 
 def _theta_values(params: SphericalParams, s) -> np.ndarray:
@@ -296,51 +312,119 @@ class SolveResult:
     brackets: tuple
 
 
+# Complex step: Theta(ell + i h) = Theta(ell) + i h Theta'(ell) + O(h^2), so
+# the real part is Theta and Im/h the derivative, with no cancellation for
+# any h far below the rounding of ell (Squire and Trapp, SIAM Rev. 40, 1998).
+_STEP = 1e-30
+# Newton steps after the scan.  The 500 closure rows of the benchmark
+# reference data take 2 or 3; with the scan and big_theta at the root a
+# solve makes at most 10 kernel calls.
+_NEWTON_STEPS = 8
+_LN2 = math.log(2.0)
+
+
 def solve_for_ell(c: float, m: float, target_p: int = 1, target_q: int = 1,
                   n_scan: int = 64, tol: float = 1e-10) -> SolveResult:
-    """Find ell with Theta(m, ell) = 2 pi p / q by scan-then-bracket.
+    """Find ell with Theta(m, ell) = 2 pi p / q by a scan, then Newton.
 
-    Theta is not assumed monotone in ell: all sign-change brackets at the
-    scan resolution are collected and the smallest root is refined by
-    Brent's method.
+    Theta is not assumed monotone in ell.  One kernel call evaluates it at
+    n_scan points from 1e-9 (1 + c m) inside each end of (L, U), where
+    L = sqrt(c m) and U = (1 + c m)/2, and every sign change between
+    neighbours is a bracket.  The first bracket is refined by Newton in
+    v = ln((U - L)/(U - ell)), starting from linear interpolation in v
+    between the bracket ends.  Theta is close to linear in v at both ends:
+    at the lower end because v is close to linear in ell there, at the upper
+    end because Theta grows like -ln(U - ell).  Each step takes Theta and
+    dTheta/dell from one kernel call at the complex point ell + 1e-30 i
+    (complex step); a step that leaves the bracket becomes a bisection in
+    v.  Newton stops at |Theta - target| <= 1e-13 target, or when a step no
+    longer moves ell, and the root stands when the last |Theta - target|
+    is within tol.  theta_total is big_theta at the root.
+
+    Raises NoBracket when the scan finds no sign change (the message says
+    whether 2 pi p / q is reachable at this c m), when the step budget runs
+    out, or when the tolerance is missed.
     """
     if not 0.0 < c * m < 1.0:
         raise NotImmersible(f"solve_for_ell needs 0 < c*m < 1, got c*m={c * m}")
+    if c <= 0:
+        raise DomainError(f"c must be positive, got {c}")
     if target_p < 1 or target_q < 1:
         raise DomainError("target p, q must be positive integers")
     g = math.gcd(target_p, target_q)
     p, q = target_p // g, target_q // g
     target = 2.0 * math.pi * p / q
 
+    lower, upper = math.sqrt(c * m), (c * m + 1.0) / 2.0
+    width = upper - lower
     delta = 1e-9 * (1.0 + c * m)
-    lo = math.sqrt(c * m) + delta
-    hi = (c * m + 1.0) / 2.0 - delta
+    lo, hi = lower + delta, upper - delta
     ells = np.linspace(lo, hi, n_scan)
-
-    def h_of(ell):
-        return big_theta(SphericalParams(c=c, m=m, ell=float(ell))) - target
-
-    values = [h_of(e) for e in ells]
-    brackets = [
-        (float(ells[i]), float(ells[i + 1]))
-        for i in range(n_scan - 1)
-        if values[i] == 0.0 or values[i] * values[i + 1] < 0.0
-    ]
+    values = _theta_of_ell(c, m, ells) - target
+    starts = np.flatnonzero((values[:-1] == 0.0)
+                            | (values[:-1] * values[1:] < 0.0))
+    brackets = [(float(ells[i]), float(ells[i + 1])) for i in starts]
     if not brackets:
-        raise NoBracket(
-            f"Theta - {target} has no sign change over ({lo}, {hi}) at "
-            f"{n_scan} samples; Theta spans [{target + min(values)}, "
-            f"{target + max(values)}]"
-        )
+        reach = 1.0 - (q / (2.0 * p)) ** 2
+        msg = (f"Theta - {target} has no sign change over ({lo}, {hi}) at "
+               f"{n_scan} samples; Theta spans [{target + values.min()}, "
+               f"{target + values.max()}], and its lower-boundary limit is "
+               f"pi/sqrt(1 - sqrt(cm)) = "
+               f"{theta_limits(c, 'ell_to_lower', m=m)}")
+        if lower >= reach:
+            msg += (f", so 2 pi p/q is reachable only where sqrt(cm) < "
+                    f"1 - (q/(2p))^2 = {reach}; here sqrt(cm) = {lower}")
+        elif values.max() < 0.0:
+            msg += (f"; 2 pi p/q is reachable (sqrt(cm) < 1 - (q/(2p))^2 = "
+                    f"{reach}), so the root lies closer to the upper boundary "
+                    f"{upper} than the scan reaches")
+        raise NoBracket(msg)
 
-    from scipy.optimize import brentq  # kept off the module import path
-    root = brentq(h_of, *brackets[0], xtol=1e-15,
-                  rtol=4.0 * np.finfo(float).eps, disp=False)
-    froot = h_of(root)
-    if abs(froot) > tol:
-        raise NoBracket(f"Brent refinement stopped at |Theta - target| = {abs(froot)}")
+    def ell_of(v):  # from the nearer end (v = ln 2 is the midpoint)
+        if v < _LN2:
+            return lower - width * math.expm1(-v)
+        return upper - width * math.exp(-v)
 
-    return SolveResult(ell=float(root), theta_total=target + froot,
+    def v_of(ell):
+        return math.log1p((ell - lower) / (upper - ell))
+
+    i = starts[0]
+    (a, b), h_a, h_b = brackets[0], float(values[i]), float(values[i + 1])
+    root, h = a, h_a
+    if h != 0.0:
+        v_a, v_b = v_of(a), v_of(b)
+        v = v_a - h_a * (v_b - v_a) / (h_b - h_a)
+        for _ in range(_NEWTON_STEPS):
+            root = ell_of(v)
+            th = complex(_theta_of_ell(c, m, complex(root, _STEP)))
+            h = th.real - target
+            # dTheta/dv = dTheta/dell (U - ell)
+            v_next = v - h / (th.imag / _STEP * width * math.exp(-v))
+            if abs(h) <= 1e-13 * target:
+                # converged: the last step is taken without evaluating it
+                root = ell_of(v_next)
+                break
+            if (h < 0.0) == (h_a < 0.0):
+                v_a, h_a = v, h
+            else:
+                v_b = v
+            if not v_a < v_next < v_b:
+                v_next = 0.5 * (v_a + v_b)
+            if ell_of(v_next) == root:
+                break
+            v = v_next
+        else:
+            raise NoBracket(
+                f"Newton refinement left |Theta - target| = {abs(h)} after "
+                f"{_NEWTON_STEPS} steps in ({a}, {b})")
+
+    if abs(h) > tol:
+        raise NoBracket(f"Newton refinement stopped at |Theta - target| = "
+                        f"{abs(h)}")
+    # big_theta is looked up on the module, so its cache records the root
+    # and a replaced big_theta reports its own value
+    theta_total = big_theta(SphericalParams(c=c, m=m, ell=root))
+    return SolveResult(ell=root, theta_total=theta_total,
                        closure=ClosureResult(p=p, q=q, embedded=(p == 1)),
                        brackets=tuple(brackets))
 

@@ -77,6 +77,22 @@ def test_invalid_arguments_raise_without_warning(args):
             rf_rj(*args)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((0.0, 1.0, math.nan, 1.0), "z"),
+    ((math.nan, 1.0, 1.0, 1.0), "x"),
+    ((0.0, 1.0, 1.0, math.nan), "p"),
+    ((0.0, math.inf, 1.0, 1.0), "y"),
+    ((0.0, np.array([1.0, math.nan]), 1.0, 1.0), "y"),
+    ((0.0, 2.0 + 1e-30j, complex(math.nan, 0.0), 0.7), "z"),
+])
+def test_non_finite_argument_is_named(args, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure,
+                           match=rf"non-finite argument \({name}\)"):
+            rf_rj(*args)
+
+
 @pytest.mark.parametrize("args", [
     (0.0, 2.0 + 1e-30j, 0.5, 0.7),        # complex step
     (0.0, 3.0, 0.5 + 0.2j, 0.7 - 0.1j),

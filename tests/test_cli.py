@@ -264,14 +264,16 @@ def test_theta_next_to_the_upper_boundary(capsys):
 
 
 def test_imports_load_no_scipy():
-    for module in ("ricci_lab.cli", "ricci_lab.phase_portrait"):
+    for code in ("import ricci_lab.cli", "import ricci_lab.phase_portrait",
+                 "from ricci_lab.immersion import solve_for_ell; "
+                 "solve_for_ell(1.0, 0.51, 1, 1)"):
         proc = subprocess.run(
             [sys.executable, "-c",
-             f"import sys, {module}; print(sorted(k for k in sys.modules "
+             f"import sys; {code}; print(sorted(k for k in sys.modules "
              "if k.startswith('scipy')))"],
             capture_output=True, text=True, env=subprocess_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]", module
+        assert proc.stdout.strip() == "[]", code
 
 
 @pytest.mark.parametrize("argv", sorted(

@@ -9,6 +9,7 @@ import pytest
 
 from ricci_lab import immersion as im
 from ricci_lab import spherical_family as sf
+from ricci_lab._carlson import rf_rj
 from ricci_lab.errors import (
     DomainError,
     NoBracket,
@@ -352,7 +353,9 @@ class TestSolveForEll:
 
     def test_unreachable_target(self):
         # Theta > pi everywhere on the slice, so 2 pi / 8 cannot bracket
-        with pytest.raises(NoBracket):
+        with pytest.raises(NoBracket, match=(
+                r"pi/sqrt\(1 - sqrt\(cm\)\) = 5\.8759127377.*reachable only "
+                r"where sqrt\(cm\) < 1 - \(q/\(2p\)\)\^2 = -15\.0")):
             im.solve_for_ell(1.0, 0.51, 1, 8)
 
     def test_inadmissible_m(self):
@@ -395,6 +398,142 @@ class TestSolveForEll:
         # upper end, past the last scan point
         with pytest.raises(NoBracket):
             im.solve_for_ell(1.0, 0.02, 1, 1)
+
+    def test_no_bracket_says_the_root_lies_past_the_scan(self):
+        with pytest.raises(NoBracket, match=(
+                r"pi/sqrt\(1 - sqrt\(cm\)\) = 3\.3904694216.*is reachable.*"
+                r"closer to the upper boundary 0\.51 than the scan reaches")):
+            im.solve_for_ell(1.0, 0.02, 1, 1)
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Arguments of every rf_rj call immersion makes; big_theta's cache
+        is cleared, so that each solve pays for its own."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rf_rj(*args)
+
+        monkeypatch.setattr(im, "rf_rj", counted)
+        im.big_theta.cache_clear()
+        return calls
+
+    def test_matches_mpmath_closing_ell_in_few_kernel_calls(self, kernel_calls):
+        rows = json.loads((GOLDEN / "closure_mpmath.json").read_text())["rows"]
+        assert len(rows) == 39
+        for row in rows:
+            kernel_calls.clear()
+            res = im.solve_for_ell(row["c"], row["m"], row["p"], row["q"])
+            target = 2.0 * math.pi * row["p"] / row["q"]
+            want = mp.mpf(row["ell"])
+            assert abs(res.ell - want) <= 1e-13 * want, row
+            assert abs(res.theta_total - target) <= 1e-10, row
+            assert len(kernel_calls) <= 10, row
+
+    @pytest.mark.parametrize("cm, p, q", [
+        (0.562, 1, 1), (0.5624, 1, 1), (0.56245, 1, 1), (0.7901, 3, 2),
+    ])
+    def test_roots_near_the_lower_boundary(self, kernel_calls, cm, p, q):
+        # closing ell 5e-4 to 5e-3 of the width above the lower end, where
+        # Theta is close to linear in ell and so exponential in the logit
+        # ln((ell - L)/(U - ell)): Newton in the logit spends its whole step
+        # budget bisecting here
+        res = im.solve_for_ell(1.0, cm, p, q)
+        assert abs(im.big_theta(SphericalParams(c=1.0, m=cm, ell=res.ell))
+                   - 2.0 * math.pi * p / q) <= 1e-10
+        assert len(kernel_calls) <= 10
+
+    @pytest.mark.parametrize("c, m, p, q", [
+        (1.0, 0.51, 1, 1), (1.0, 0.75, 3, 2), (1.0, 0.12, 2, 3),
+        (0.5, 0.3, 1, 1), (2.0, 0.35, 5, 4),
+    ])
+    def test_brackets_equal_a_scalar_scan(self, c, m, p, q):
+        target = 2.0 * math.pi * p / q
+        delta = 1e-9 * (1.0 + c * m)
+        ells = np.linspace(math.sqrt(c * m) + delta,
+                           (c * m + 1.0) / 2.0 - delta, 64)
+        h = [im.big_theta(SphericalParams(c=c, m=m, ell=float(e))) - target
+             for e in ells]
+        want = tuple((float(ells[i]), float(ells[i + 1])) for i in range(63)
+                     if h[i] == 0.0 or h[i] * h[i + 1] < 0.0)
+        assert want and im.solve_for_ell(c, m, p, q).brackets == want
+
+    def test_exhausted_step_budget_is_no_bracket(self, monkeypatch):
+        monkeypatch.setattr(im, "_NEWTON_STEPS", 1)
+        with pytest.raises(NoBracket, match="after 1 steps"):
+            im.solve_for_ell(1.0, 0.5, 1, 1)
+
+    def test_missed_tolerance_is_no_bracket(self):
+        with pytest.raises(NoBracket, match="stopped at"):
+            im.solve_for_ell(1.0, 0.75, 3, 2, tol=1e-300)
+
+    def test_theta_total_is_big_theta_at_the_root(self, monkeypatch):
+        # read through the module attribute, so a replaced big_theta shows
+        real = im.big_theta
+        monkeypatch.setattr(im, "big_theta",
+                            lambda params: real(params) * (1.0 + 1e-6))
+        res = im.solve_for_ell(1.0, 0.51, 1, 1)
+        assert res.ell == EMBEDDED.ell
+        assert res.theta_total == real(P_EMB) * (1.0 + 1e-6)
+
+
+def theta_total_mp(c, m, ell):
+    """Theta by 30-digit mpmath quadrature of theta' over one period, in the
+    variable u = sqrt(c) s + pi/4 and folded onto [0, pi/2]."""
+    c, m, ell = mp.mpf(c), mp.mpf(m), mp.mpf(ell)
+    amp = mp.sqrt(ell * ell - c * m)
+    d = (1 + c * m - 2 * ell) / (1 - ell + amp)
+    top = (ell + amp) * d
+
+    def rate(u):
+        s2 = mp.sin(u) ** 2
+        cg = ell - amp + 2 * amp * mp.cos(u) ** 2
+        cn = top + (2 * ell - 1) * 2 * amp * s2
+        return mp.sqrt(cn / cg) / (d + 2 * amp * s2)
+
+    return 2 * mp.quad(rate, [0, mp.mpf("1e-6"), mp.mpf("1e-3"), mp.pi / 4,
+                              mp.pi / 2])
+
+
+class TestComplexStepDerivative:
+    """dTheta/dell = Im Theta(ell + 1e-30 i)/1e-30, as solve_for_ell takes it."""
+
+    @staticmethod
+    def relative_error(c, m, ell):
+        got = complex(im._theta_of_ell(c, m, complex(ell, 1e-30))).imag / 1e-30
+        with mp.workdps(30):
+            want = mp.diff(lambda e: theta_total_mp(c, m, e), mp.mpf(ell))
+        return float(abs(got - want) / want), want
+
+    def test_embedded_example(self):
+        err, want = self.relative_error(1.0, 0.51, 0.73)
+        assert mp.nstr(want, 16) == "33.46768001509829"
+        assert err <= 1e-14
+
+    @pytest.mark.parametrize("c, m, frac", [
+        (0.5, 0.2, 0.4), (1.0, 0.51, 1e-6), (1.0, 0.02, 1e-10),
+    ])
+    def test_interior_and_upper_boundary(self, c, m, frac):
+        # frac is the distance (U - ell)/(U - L) from the upper boundary
+        lower, upper = math.sqrt(c * m), (1.0 + c * m) / 2.0
+        err = self.relative_error(c, m, upper - frac * (upper - lower))[0]
+        assert err <= 1e-14
+
+    @pytest.mark.parametrize("c, m, frac, measured", [
+        (1.0, 0.51, 1e-6, 3.7e-13), (1.0, 0.1, 1e-8, 6.1e-11),
+        (1.0, 0.01, 0.3, 1.9e-13),
+    ])
+    def test_lower_boundary_and_small_cm(self, c, m, frac, measured):
+        # frac is the distance (ell - L)/(U - L) from the lower boundary.
+        # Here the derivatives of the alpha and beta terms of Theta nearly
+        # cancel (55.6 - 59.3 + 3.9 = 0.23 at cm = 0.01, frac = 0.3), and the
+        # relative error grows like eps/A towards the lower boundary, A =
+        # sqrt(ell^2 - c m).  Newton needs only a few digits of the slope;
+        # the root is set by the value of Theta.
+        lower, upper = math.sqrt(c * m), (1.0 + c * m) / 2.0
+        err = self.relative_error(c, m, lower + frac * (upper - lower))[0]
+        assert err <= 2.0 * measured
 
 
 class TestMeanCurvature:
