@@ -478,6 +478,38 @@ class TestSolveForEll:
         assert res.theta_total == real(P_EMB) * (1.0 + 1e-6)
 
 
+class TestReachableClosures:
+    """2 pi p/q is reached exactly where sqrt(cm) < 1 - (q/(2p))^2: Theta
+    runs from pi/sqrt(1 - sqrt(cm)) at the lower end of the slice to +inf
+    at the upper end.  So embedded (1, 1) tori need cm < 9/16, (3, 2) needs
+    cm < 64/81 and p/q <= 1/2 never closes.  The solved ell depends on
+    (c, m) only through cm."""
+
+    @pytest.mark.parametrize("cm, p, q, embedded", [
+        (0.1, 1, 1, True), (0.3, 1, 1, True), (0.55, 1, 1, True),
+        (0.78, 3, 2, False),
+    ])
+    def test_reachable_targets_solve(self, cm, p, q, embedded):
+        ells = set()
+        for c in (0.5, 1.0, 4.0):
+            res = im.solve_for_ell(c, cm / c, p, q)
+            params = SphericalParams(c=c, m=cm / c, ell=res.ell)
+            assert abs(im.big_theta(params) - 2.0 * math.pi * p / q) <= 1e-10
+            assert res.closure.embedded is embedded
+            assert im.profile_simple_check(params, res.closure) is embedded
+            ells.add(res.ell)
+        assert len(ells) == 1
+
+    @pytest.mark.parametrize("cm, p, q", [
+        (0.57, 1, 1), (0.9, 1, 1), (0.80, 3, 2),
+        (0.1, 1, 2), (0.5, 1, 2), (0.9, 1, 2),
+    ])
+    def test_unreachable_targets_raise(self, cm, p, q):
+        for c in (0.5, 1.0, 4.0):
+            with pytest.raises(NoBracket, match="reachable only where"):
+                im.solve_for_ell(c, cm / c, p, q)
+
+
 def theta_total_mp(c, m, ell):
     """Theta by 30-digit mpmath quadrature of theta' over one period, in the
     variable u = sqrt(c) s + pi/4 and folded onto [0, pi/2]."""

@@ -96,6 +96,32 @@ class TestBuildSurfaceMesh:
         assert np.all(np.isfinite(projected.vertices))
 
 
+def mesh_with_faces(faces):
+    return mesh_io.SurfaceMesh(vertices=np.zeros((3, 3)),
+                               faces=np.array(faces), ns=1, nt=1)
+
+
+BAD_FACES = pytest.mark.parametrize("faces, span", [
+    ([[0, 1, 5]], r"\[0, 5\]"),
+    ([[0, -1, 2]], r"\[-1, 2\]"),
+], ids=["past_the_end", "negative"])
+
+
+@BAD_FACES
+def test_euler_rejects_face_index_outside_vertices(faces, span):
+    with pytest.raises(DomainError, match=span + r", outside the vertex "
+                                          r"range \[0, 3\)"):
+        mesh_io.euler_characteristic(mesh_with_faces(faces))
+
+
+@BAD_FACES
+def test_obj_rejects_face_index_outside_vertices(faces, span):
+    buf = io.StringIO()
+    with pytest.raises(DomainError, match=span):
+        mesh_io.export_obj(mesh_with_faces(faces), buf)
+    assert buf.getvalue() == ""
+
+
 class TestExporters:
     def test_obj_golden_fixture(self):
         buf = io.StringIO()
@@ -254,7 +280,9 @@ class TestLoopReferences:
         mesh_io.SurfaceMesh(vertices=np.zeros((3, 3)),
                             faces=np.zeros((0, 4), dtype=np.int64),
                             ns=1, nt=1),
-    ], ids=["golden_degenerate_2x2", "triangles", "no_faces"])
+        # every interior edge key occurs twice
+        mesh_io.build_surface_mesh(P_IMM, IMMERSED.closure, 64, 24),
+    ], ids=["golden_degenerate_2x2", "triangles", "no_faces", "q2_torus"])
     def test_euler_matches_edge_set(self, mesh):
         assert (mesh_io.euler_characteristic(mesh)
                 == loop_euler_characteristic(mesh))
