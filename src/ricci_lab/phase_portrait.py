@@ -6,13 +6,19 @@ Periodic orbits live on compact level sets E = ell surrounding the unique
 positive equilibrium, and their minimal period is computed two independent
 ways: a turning-point quadrature and a return-map ODE integration.
 
-SciPy is imported inside the functions that use it, so importing this
-module (and the CLI, which imports it) loads numpy only.
+Both routes are in this module and use numpy only. The quadrature is the
+periodic midpoint rule (Trefethen and Weideman, SIAM Review 56 (2014)); the
+ODE integrator is the Dormand-Prince 5(4) pair with step-size control and
+Shampine's quartic dense output (Dormand and Prince, J. Comput. Appl. Math.
+6 (1980)). The tests check both against mpmath and against SciPy's `quad`
+and DOP853.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +68,10 @@ def potential(a: float, c: float, m: float, x: float) -> float:
         raise DomainError(f"potential requires x > 0, got x={x}")
     if a == 2:
         return -m * math.log(x) + 0.5 * c * x * x
-    return -m * x ** (2.0 - a) / (2.0 - a) + 0.5 * c * x * x
+    try:
+        return -m * x ** (2.0 - a) / (2.0 - a) + 0.5 * c * x * x
+    except OverflowError:  # x^(2-a) beyond the float range dominates P
+        return math.copysign(math.inf, -m / (2.0 - a))
 
 
 def _potential_derivs(a: float, c: float, m: float, x: float):
@@ -97,8 +106,14 @@ class EnergyWindow:
 def admissible_energy_window(a: float, c: float, m: float) -> EnergyWindow:
     """Energy window (P(x*), lim_{x->0} P(x)) for periodic orbits."""
     _check_signs(a, c, m)
-    x_star = (m / c) ** (1.0 / a)
-    lower = potential(a, c, m, x_star)
+    try:
+        x_star = (m / c) ** (1.0 / a)
+    except (OverflowError, ZeroDivisionError):  # m/c or x* not a float
+        x_star = math.nan
+    lower = potential(a, c, m, x_star) if 0.0 < x_star < math.inf else math.nan
+    if not math.isfinite(lower):
+        raise DomainError(f"the equilibrium (m/c)^(1/a) or its energy is out of "
+                          f"the float range for a={a}, c={c}, m={m}")
     upper = math.inf if a >= 2 else 0.0
     return EnergyWindow(lower=lower, upper=upper, equilibrium=x_star)
 
@@ -147,16 +162,18 @@ def turning_points(a: float, c: float, m: float, ell: float):
     win = _checked_level(a, c, m, ell)
     x_star = win.equilibrium
     if a == 4:
+        # x-^2 = (ell - disc)/c cancels; x-^2 x+^2 = m/c gives it stably
         disc = math.sqrt(ell * ell - c * m)
-        return (
-            math.sqrt((ell - disc) / c),
-            math.sqrt((ell + disc) / c),
-        )
-
-    from scipy.optimize import brentq
+        return math.sqrt(m / (ell + disc)), math.sqrt((ell + disc) / c)
 
     def g(x):
         return potential(a, c, m, x) - ell
+
+    def dg(x):
+        try:
+            return -m * x ** (1.0 - a) + c * x
+        except OverflowError:
+            return math.inf
 
     lo = max(1e-12, x_star * 1e-6)
     while g(lo) <= 0 and lo > 1e-300:
@@ -164,26 +181,73 @@ def turning_points(a: float, c: float, m: float, ell: float):
     hi = 2.0 * x_star
     while g(hi) <= 0:
         hi *= 2.0
-    x_minus = brentq(g, lo, x_star, xtol=1e-15, rtol=8.9e-16)
-    x_plus = brentq(g, x_star, hi, xtol=1e-15, rtol=8.9e-16)
-    return x_minus, x_plus
+    return _monotone_root(g, dg, lo, x_star), _monotone_root(g, dg, x_star, hi)
 
 
-def _quad_checked(fn, lo, hi, *, epsabs=1e-12, epsrel=1e-10, limit=2000, points=None):
-    if points is not None:
-        points = [p for p in points if lo < p < hi]
-        if not points:
-            points = None
-    from scipy.integrate import quad
+def _monotone_root(g, dg, lo, hi):
+    """Root of g on [lo, hi], where g is monotone and changes sign.
 
-    out = quad(fn, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit,
-               points=points, full_output=1)
-    val, abserr = out[0], out[1]
-    if len(out) > 3 or abserr > 100.0 * max(epsabs, epsrel * abs(val)):
-        raise QuadratureFailure(
-            f"quadrature on [{lo}, {hi}] reached error estimate {abserr}"
-        )
-    return val
+    Newton steps, each replaced by a bisection when it would leave the
+    bracket or fails to halve the previous step; the bracket shrinks with
+    every evaluation. Stops when the step or the bracket is within a few
+    ulp of the root.
+    """
+    g_lo = g(lo)
+    x = 0.5 * (lo + hi)
+    dx_old = hi - lo
+    for _ in range(200):
+        gx = g(x)
+        if gx == 0.0:
+            return x
+        if (gx > 0.0) == (g_lo > 0.0):
+            lo = x
+        else:
+            hi = x
+        slope = dg(x)
+        step = gx / slope if 0.0 < abs(slope) < math.inf else math.inf
+        if lo < x - step < hi and abs(step) <= 0.5 * abs(dx_old):
+            dx_old, x = step, x - step
+        else:
+            dx_old, x = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        if abs(dx_old) <= 4e-16 * x or hi - lo <= 4e-16 * x:
+            return x
+    return x
+
+
+# Midpoint sums of a smooth periodic integrand converge geometrically until
+# rounding takes over. A difference that stops shrinking is taken for that
+# rounding floor only when it is already this small (relative), so that an
+# early, unresolved wobble is not.
+_MIDPOINT_STALL = 1e-8
+_MIDPOINT_MAX_N = 1 << 14
+
+
+def _periodic_midpoint(fn, length, rtol=1e-13):
+    """Integral of fn over [0, length] by midpoint sums at N = 8, 16, 32, ...
+
+    fn must extend to a smooth length-periodic function: a whole period, or
+    half a period of an even function. Stops when two successive sums agree
+    to rtol, or when their difference stops shrinking below
+    _MIDPOINT_STALL; raises QuadratureFailure when the budget runs out.
+    """
+    total, diff_old = None, math.inf
+    n = 8
+    while n <= _MIDPOINT_MAX_N:
+        h = length / n
+        new = math.fsum(fn((j + 0.5) * h) for j in range(n)) * h
+        if not math.isfinite(new):
+            raise QuadratureFailure(f"midpoint sum on [0, {length}] is {new}")
+        if total is not None:
+            diff = abs(new - total)
+            if (diff <= rtol * abs(new)
+                    or diff_old <= diff <= _MIDPOINT_STALL * abs(new)):
+                return new
+            diff_old = diff
+        total = new
+        n *= 2
+    raise QuadratureFailure(
+        f"midpoint sums on [0, {length}] did not settle by N = {n // 2}: "
+        f"last difference {diff_old}")
 
 
 def _gap_from_equilibrium(a, c, m, x_star, xi):
@@ -214,22 +278,27 @@ def period_integral(a: float, c: float, m: float, ell: float) -> float:
 
     Substituting x = x- + (x+ - x-)(1 - cos(phi))/2 removes the square-root
     endpoint singularities: the integrand becomes sqrt(2/Q(x)) with
-    Q = (ell - P) / ((x - x-)(x+ - x)) smooth and positive.  Near the turning
-    points ell - P is evaluated by a Taylor expansion to dodge cancellation;
-    for levels just above the window floor the whole gap is evaluated through
-    the equilibrium expansion for the same reason.
+    Q = (ell - P) / ((x - x-)(x+ - x)) smooth and positive.  The integrand is
+    then even and 2 pi-periodic in phi, so the periodic midpoint rule on
+    [0, pi] converges geometrically.  Near the turning points ell - P is
+    evaluated by a Taylor expansion to dodge cancellation; for levels just
+    above the window floor the whole gap is evaluated through the
+    equilibrium expansion for the same reason.
     """
     win = admissible_energy_window(a, c, m)
     x_minus, x_plus = turning_points(a, c, m, ell)
     delta = x_plus - x_minus
     gap_ell = ell - win.lower
     near_floor = delta < 0.05 * win.equilibrium
+    # the expansion about a turning point x0 converges within |d| < x0
+    near_minus = 1e-4 * min(delta, x_minus)
+    near_plus = 1e-4 * min(delta, x_plus)
 
     def level_gap(x, d_minus, d_plus):
         # ell - P(x); d_minus = x - x-, d_plus = x+ - x (both >= 0)
-        if d_minus < 1e-4 * delta:
+        if d_minus < near_minus:
             x0, d = x_minus, d_minus
-        elif d_plus < 1e-4 * delta:
+        elif d_plus < near_plus:
             x0, d = x_plus, -d_plus
         elif near_floor:
             return gap_ell - _gap_from_equilibrium(a, c, m, win.equilibrium,
@@ -246,9 +315,17 @@ def period_integral(a: float, c: float, m: float, ell: float) -> float:
         d_plus = delta * ch
         x = x_minus + d_minus
         w = level_gap(x, d_minus, d_plus)
+        if not w > 0.0:
+            raise QuadratureFailure(
+                f"ell - P(x) = {w} at x = {x} inside the orbit "
+                f"[{x_minus}, {x_plus}]: the level gap is lost to rounding")
         return math.sqrt(2.0 * d_minus * d_plus / w)
 
-    return _quad_checked(integrand, 0.0, math.pi)
+    try:
+        return _periodic_midpoint(integrand, math.pi)
+    except OverflowError as exc:
+        raise QuadratureFailure(f"the period integrand at a={a} leaves the "
+                                f"float range: {exc}") from exc
 
 
 @dataclass
@@ -270,48 +347,205 @@ class OrbitSample:
         return list(zip(self.s, self.x, self.y))
 
 
-def _orbit_ode(a, c, m, guard):
-    """Right-hand side of x' = y, y' = m x^(1-a) - c x for solve_ivp, and the
-    terminal event of x falling through the guard."""
+# Dormand-Prince 5(4) (Dormand and Prince, J. Comput. Appl. Math. 6 (1980)):
+# the 5th-order solution is propagated, and its last stage is the first
+# stage of the next step.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+# 5th- minus 4th-order weights, over all seven stages
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+         22 / 525, -1 / 40)
+# Shampine's quartic dense output: u(t + th) = u + h sum_i k_i p_i(th), with
+# p_i(th) = sum_j _DP_P[i][j] th^(j + 1)
+_DP_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423,
+     69997945 / 29380423),
+)
 
-    def rhs(_s, u):
-        x = u[0]
-        return (u[1], m * x ** (1.0 - a) - c * x)
 
-    def hit_guard(_s, u):
-        return u[0] - guard
+def _combine(u, h, weights, ks):
+    """u + h sum_i weights[i] ks[i], componentwise on tuples of floats."""
+    return tuple([ui + h * sum(map(operator.mul, weights, kc))
+                  for ui, kc in zip(u, zip(*ks))])
 
-    hit_guard.terminal = True
-    hit_guard.direction = -1.0
-    return rhs, hit_guard
+
+class _DormandPrince:
+    """Adaptive Dormand-Prince 5(4) for an autonomous u' = rhs(u).
+
+    The state is a tuple of Python floats. Steps are controlled by the RMS
+    norm of the embedded error against atol + rtol |u| (Hairer, Norsett and
+    Wanner, "Solving ODEs I", II.4). A right-hand side that returns NaN (off
+    its domain) makes the step fail, and the step shrinks.
+    """
+
+    def __init__(self, rhs, t, u, rtol, atol):
+        self.rhs, self.rtol, self.atol = rhs, rtol, atol
+        self.t, self.u = t, tuple(u)
+        self.f = rhs(self.u)
+        self.h = self._initial_step()
+        self.rejected = False
+        self.last = None  # (t, h, u, stages) of the last accepted step
+
+    def _norm(self, e, u, u_new):
+        total = 0.0
+        for ei, ui, vi in zip(e, u, u_new):
+            total += (ei / (self.atol + self.rtol * max(abs(ui), abs(vi)))) ** 2
+        return math.sqrt(total / len(e))
+
+    def _initial_step(self):
+        d0 = self._norm(self.u, self.u, self.u)
+        d1 = self._norm(self.f, self.u, self.u)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        f1 = self.rhs(_combine(self.u, h0, (1.0,), (self.f,)))
+        d2 = self._norm([p - q for p, q in zip(f1, self.f)], self.u, self.u) / h0
+        if max(d1, d2) <= 1e-15:
+            h1 = max(1e-6, 1e-3 * h0)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.2
+        return min(100.0 * h0, h1) if math.isfinite(h1) else h0
+
+    def step(self, t_end=math.inf):
+        """Take one accepted step, ending at t_end at the latest."""
+        rhs, u = self.rhs, self.u
+        while True:
+            h = min(self.h, t_end - self.t)
+            if not h > 8.0 * math.ulp(self.t):
+                raise StepFailure(f"step size {h} underflows at t = {self.t}")
+            ks = [self.f]
+            for row in _DP_A:
+                ks.append(rhs(_combine(u, h, row, ks)))
+            u_new = _combine(u, h, _DP_B, ks)
+            ks.append(rhs(u_new))
+            err = self._norm(_combine((0.0,) * len(u), h, _DP_E, ks), u, u_new)
+            if err <= 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+                if self.rejected:
+                    factor = min(1.0, factor)
+                self.last = (self.t, h, u, ks)
+                self.t = self.t + h if h < t_end - self.t else t_end
+                self.u, self.f = u_new, ks[6]
+                self.h, self.rejected = h * factor, False
+                return
+            # a NaN error (a stage left the domain) shrinks by the most
+            self.h = h * (max(0.2, 0.9 * err ** -0.2) if err == err else 0.2)
+            self.rejected = True
+
+
+def _dense_state(u, h, ks, theta):
+    weights = [theta * (p0 + theta * (p1 + theta * (p2 + theta * p3)))
+               for p0, p1, p2, p3 in _DP_P]
+    return _combine(u, h, weights, ks)
+
+
+class _DenseOutput:
+    """Piecewise-quartic interpolant over accepted Dormand-Prince steps.
+
+    A scalar s gives the state as an array of shape (n,), an array of s
+    gives shape (n, len(s)); s outside the steps extrapolates the end steps.
+    """
+
+    def __init__(self):
+        self.starts = []
+        self.steps = []
+
+    def add(self, step):
+        self.starts.append(step[0])
+        self.steps.append(step)
+
+    def at(self, s):
+        i = min(max(bisect.bisect_right(self.starts, s) - 1, 0),
+                len(self.steps) - 1)
+        t, h, u, ks = self.steps[i]
+        return _dense_state(u, h, ks, (s - t) / h)
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        if s.ndim == 0:
+            return np.array(self.at(float(s)))
+        return np.array([self.at(v) for v in s.ravel().tolist()]).T
+
+
+def _integrate(rhs, t0, u0, t_end, rtol, atol, guard=None):
+    """Integrate u' = rhs(u) from t0 to t_end; returns the accepted step ends
+    and the dense output. A first component at or below guard raises BlowUp."""
+    solver = _DormandPrince(rhs, t0, u0, rtol, atol)
+    ts, us, dense = [t0], [solver.u], _DenseOutput()
+    while solver.t < t_end:
+        solver.step(t_end)
+        dense.add(solver.last)
+        ts.append(solver.t)
+        us.append(solver.u)
+        if guard is not None and solver.u[0] <= guard:
+            raise BlowUp(f"trajectory fell below the x > {guard} guard")
+    return ts, us, dense
+
+
+def _orbit_rhs(a, c, m):
+    """x' = y, y' = m x^(1-a) - c x, and NaN where x^(1-a) is not a float."""
+    e = 1.0 - a
+
+    def rhs(u):
+        x, y = u
+        try:
+            return y, m * math.pow(x, e) - c * x
+        except (ValueError, OverflowError):
+            return y, math.nan
+
+    return rhs
 
 
 def integrate_orbit(a, c, m, x0, y0, s_span, rtol=1e-11, atol=1e-11,
                     n_out=None, guard=1e-8) -> OrbitSample:
-    """Adaptive DOP853 integration of x' = y, y' = m x^(1-a) - c x."""
+    """Adaptive Dormand-Prince 5(4) integration of x' = y, y' = m x^(1-a) - c x.
+
+    Without n_out the samples are the accepted step ends; with it, n_out
+    evenly spaced points of the dense output. `dense` evaluates the state
+    anywhere in s_span.
+    """
     _check_signs(a, c, m)
+    require_finite(x0=x0, y0=y0, s_start=s_span[0], s_end=s_span[1])
     if x0 <= 0:
         raise DomainError(f"integrate_orbit requires x0 > 0, got {x0}")
-    from scipy.integrate import solve_ivp
+    if not s_span[1] > s_span[0]:
+        raise DomainError(f"integrate_orbit requires s_span increasing, got {s_span}")
 
-    rhs, hit_guard = _orbit_ode(a, c, m, guard)
-    t_eval = np.linspace(s_span[0], s_span[1], n_out) if n_out else None
-    sol = solve_ivp(rhs, s_span, (x0, y0), method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True, events=hit_guard, t_eval=t_eval)
-    if sol.status == 1:
-        raise BlowUp(f"trajectory fell below the x > {guard} guard")
-    if sol.status != 0:
-        raise StepFailure(sol.message)
-
-    xs, ys = sol.y
+    ts, us, dense = _integrate(_orbit_rhs(a, c, m), float(s_span[0]),
+                               (float(x0), float(y0)), float(s_span[1]),
+                               rtol, atol, guard)
+    if n_out:
+        s = np.linspace(s_span[0], s_span[1], n_out)
+        xs, ys = dense(s)
+    else:
+        s = np.array(ts)
+        xs, ys = np.array(us).T
     e0 = energy(a, c, m, x0, y0)
     energies = 0.5 * ys * ys + np.array(
         [potential(a, c, m, xv) for xv in xs]
     )
     drift = float(np.max(np.abs(energies - e0))) if len(xs) else 0.0
-    return OrbitSample(s=sol.t, x=xs, y=ys, energies=energies,
-                       energy_drift=drift, n_steps=sol.t.size,
-                       rtol=rtol, atol=atol, dense=sol.sol)
+    return OrbitSample(s=s, x=xs, y=ys, energies=energies,
+                       energy_drift=drift, n_steps=len(ts) - 1,
+                       rtol=rtol, atol=atol, dense=dense)
+
+
+_RETURN_MAP_STEPS = 100_000
 
 
 def orbit_period_numeric(a, c, m, ell, rtol=1e-11, atol=1e-11) -> float:
@@ -319,34 +553,38 @@ def orbit_period_numeric(a, c, m, ell, rtol=1e-11, atol=1e-11) -> float:
 
     Independent of period_integral: starts at the bottom of the well moving
     left and times two successive downward crossings of y = 0 (which occur
-    only at x = x+).
+    only at x = x+), each located inside its step on the dense output.
     """
     win = _checked_level(a, c, m, ell)
-    from scipy.integrate import solve_ivp
-
-    x_star = win.equilibrium
+    guard = 1e-8
     y0 = -math.sqrt(2.0 * (ell - win.lower))
-    rhs, hit_guard = _orbit_ode(a, c, m, 1e-8)
+    solver = _DormandPrince(_orbit_rhs(a, c, m), 0.0, (win.equilibrium, y0),
+                            rtol, atol)
+    crossings = []
+    for _ in range(_RETURN_MAP_STEPS):
+        y_old = solver.u[1]
+        solver.step()
+        if solver.u[0] <= guard:
+            raise BlowUp(f"trajectory fell below the x > {guard} guard")
+        if y_old > 0.0 >= solver.u[1]:
+            crossings.append(_section_time(solver))
+            if len(crossings) == 2:
+                return crossings[1] - crossings[0]
+    raise StepFailure(
+        f"return-map crossings not found within {_RETURN_MAP_STEPS} steps")
 
-    def section(_s, u):
-        return u[1]
 
-    section.direction = -1.0
+def _section_time(solver):
+    """Time in the last step at which the dense y falls through 0."""
+    t, h, u, ks = solver.last
 
-    span = 8.0 * 2.0 * math.pi / math.sqrt(a * c)
-    for _ in range(8):
-        sol = solve_ivp(rhs, (0.0, span), (x_star, y0), method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=True,
-                        events=(section, hit_guard))
-        if sol.status == 1:
-            raise BlowUp("trajectory fell below the x > 1e-8 guard")
-        if sol.status not in (0, 1):
-            raise StepFailure(sol.message)
-        crossings = sol.t_events[0]
-        if crossings.size >= 2:
-            return float(crossings[1] - crossings[0])
-        span *= 4.0
-    raise StepFailure("return-map crossings not found within the span budget")
+    def y(theta):
+        return _dense_state(u, h, ks, theta)[1]
+
+    def dy(theta):
+        return h * solver.rhs(_dense_state(u, h, ks, theta))[1]
+
+    return t + h * _monotone_root(y, dy, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -374,8 +612,6 @@ def conformal_profile_check(params: RicciParams, n_grid: int = 512) -> Conformal
         res = abs(c * math.exp(-2.0 * y0) - m * math.exp((a - 2.0) * y0))
         return ConformalCheck(max_residual=res, delaunay_type=delaunay)
 
-    from scipy.integrate import solve_ivp
-
     period = period_integral(a, c, m, ell)
     s_hi = 2.0 * period
 
@@ -392,17 +628,15 @@ def conformal_profile_check(params: RicciParams, n_grid: int = 512) -> Conformal
                                 rtol=1e-12, atol=1e-12)
 
         def f_of_s(s):
-            return float(orbit.dense(s)[0])
+            return orbit.dense.at(s)[0]
 
-    v_total = _quad_checked(lambda s: 1.0 / f_of_s(s), 0.0, s_hi,
-                            epsabs=1e-11, epsrel=1e-10)
+    # 1/f over two whole periods of f is periodic
+    v_total = _periodic_midpoint(lambda s: 1.0 / f_of_s(s), s_hi, rtol=1e-10)
     v_grid = np.linspace(0.0, v_total, n_grid)
 
-    sol = solve_ivp(lambda _v, s: (f_of_s(s[0]),), (0.0, v_total), (0.0,),
-                    method="DOP853", rtol=1e-12, atol=1e-12, t_eval=v_grid)
-    if sol.status != 0:
-        raise StepFailure(sol.message)
-    s_of_v = sol.y[0]
+    _, _, s_dense = _integrate(lambda s: (f_of_s(s[0]),), 0.0, (0.0,), v_total,
+                               1e-12, 1e-12)
+    s_of_v = s_dense(v_grid)[0]
 
     y = -np.log([f_of_s(s) for s in s_of_v])
     h = v_grid[1] - v_grid[0]

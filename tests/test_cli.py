@@ -1,4 +1,7 @@
+import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -7,9 +10,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ricci_lab
 from ricci_lab import cli
+from ricci_lab import phase_portrait as pp
+from ricci_lab.errors import RicciLabError
 
 # One short run of every subcommand; each writes its output to --out.
 SUBCOMMANDS = {
@@ -264,9 +271,14 @@ def test_theta_next_to_the_upper_boundary(capsys):
 
 
 def test_imports_load_no_scipy():
+    period = "from ricci_lab import cli; assert cli.run({!r}) == 0"
     for code in ("import ricci_lab.cli", "import ricci_lab.phase_portrait",
                  "from ricci_lab.immersion import solve_for_ell; "
-                 "solve_for_ell(1.0, 0.51, 1, 1)"):
+                 "solve_for_ell(1.0, 0.51, 1, 1)",
+                 period.format(["period", "--a", "4", "--c", "1", "--m", "0.5",
+                                "--ell", "0.8", "--out", os.devnull]),
+                 period.format(["period", "--a", "3", "--c", "1", "--m", "0.5",
+                                "--ell", "2.0", "--out", os.devnull])):
         proc = subprocess.run(
             [sys.executable, "-c",
              f"import sys; {code}; print(sorted(k for k in sys.modules "
@@ -276,8 +288,21 @@ def test_imports_load_no_scipy():
         assert proc.stdout.strip() == "[]", code
 
 
+def test_no_source_file_imports_scipy():
+    for path in sorted(pathlib.Path(ricci_lab.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), path
+
+
 @pytest.mark.parametrize("argv", sorted(
-    a for a in GOLDEN_SHA256 if a.split()[0] in ("theta", "scan", "mesh")))
+    a for a in GOLDEN_SHA256
+    if a.split()[0] in ("theta", "scan", "mesh", "period")))
 def test_runs_with_runtime_warnings_as_errors(argv):
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "ricci_lab",
@@ -285,3 +310,51 @@ def test_runs_with_runtime_warnings_as_errors(argv):
         capture_output=True, text=True, env=subprocess_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+ANY_VALUE = st.one_of(
+    st.sampled_from([2.0, 3.0, 4.0, 6.0, -2.0, 1.0, -1.0, 0.5, 0.0]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def period_values(draw):
+    """(a, c, m, ell): four arbitrary values, or a shared-sign (a, c, m) with
+    ell on, below or above its window floor (above the window for a < 2)."""
+    if draw(st.booleans()):
+        return [draw(ANY_VALUE) for _ in range(4)]
+    a = draw(st.one_of(st.sampled_from([2.0, 3.0, 4.0, 6.0, -2.0]),
+                       st.floats(-8.0, 8.0)))
+    sign = -1.0 if a < 0 else 1.0
+    c = sign * draw(st.floats(1e-3, 1e3))
+    m = sign * draw(st.floats(1e-3, 1e3))
+    try:
+        floor = pp.admissible_energy_window(a, c, m).lower
+    except RicciLabError:
+        floor = 0.0
+    offset = draw(st.one_of(st.just(0.0), st.floats(-1.0, 0.0),
+                            st.floats(1e-12, 1e2)))
+    return [a, c, m, floor + offset]
+
+
+@settings(deadline=None, max_examples=60)
+@given(period_values())
+@example([1e300, 3.0, 2.2622318590183905e92, 3.937793972943164e146])
+@example([1.2177734668493051e-123, 3.97891547269854e-84, 2.302052095456856e84,
+          1.1852212403078095])
+@example([-2.0, -1.6037378857936125e152, -3.961758971523482e-172, 2.0])
+def test_period_argv_exits_with_documented_codes(values):
+    argv = ["period"] + [f"--{name}={value!r}"
+                         for name, value in zip(("a", "c", "m", "ell"), values)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 2, 3, 64), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        record = json.loads(out.getvalue())
+        assert all(math.isfinite(record[k]) for k in
+                   ("period_integral", "orbit_period", "difference")), argv
+    else:
+        assert out.getvalue() == ""
