@@ -3,21 +3,25 @@
 Exit codes: 0 success, 2 precondition failure, 3 numerical failure,
 64 usage error, 74 output could not be written.  Data goes to --out (or
 stdout); diagnostics to stderr.
+
+Imports: each ``_cmd_*`` imports the modules it uses, so a fresh process
+loads only what its subcommand needs.  ``classify``, ``minimal``,
+``period`` and usage errors run without numpy, which is most of a cold
+start (guarded by ``tests/test_cli.py::test_cold_paths_load_no_numpy``).
+Records go out through the numpy-free ``_output`` writers.  Calls go
+through module attributes (``im.big_theta(...)``, not a name imported
+from ``immersion``), so a wrapper set on the attribute, such as the
+perfbench tracer or a test's monkeypatch, still sees every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
-import numpy as np
-
-from . import immersion as im
-from . import mesh_io
-from . import phase_portrait as pp
-from . import spherical_family as sf
-from . import warped_geometry as wg
+from ._output import export_json, open_sink
 from .errors import (
     BlowUp,
     DegenerateLevel,
@@ -38,8 +42,6 @@ from .errors import (
     StepFailure,
     WindowError,
 )
-from .immersion import ClosureResult
-from .spherical_family import SphericalParams
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -58,7 +60,18 @@ class _UsageError(Exception):
     pass
 
 
+# argparse takes only -2, -2.5 and -.5 for negative numbers and reads any
+# other word that starts with "-" as an option; this pattern adds exponents
+# (-2.7e-05) and the signed non-finite spellings that float() accepts.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -66,13 +79,15 @@ class _Parser(argparse.ArgumentParser):
 def _emit(record, args, default_text=None):
     sink = args.out or sys.stdout
     if args.format == "json" or default_text is None:
-        mesh_io.export_json(record, sink)
+        export_json(record, sink)
     else:
-        with mesh_io.open_sink(sink) as fh:
+        with open_sink(sink) as fh:
             fh.write(default_text + "\n")
 
 
 def _cmd_classify(args):
+    from . import spherical_family as sf
+
     inputs = {"c": args.c, "m": args.m, "ell": args.ell}
     cls = sf.classify(args.c, args.m, args.ell)
     record = {"inputs": inputs, "classification": cls.value}
@@ -80,8 +95,13 @@ def _cmd_classify(args):
 
 
 def _cmd_verify(args):
+    import numpy as np
+
+    from . import spherical_family as sf
+    from . import warped_geometry as wg
+
     inputs = {"c": args.c, "m": args.m, "ell": args.ell, "n": args.n}
-    params = SphericalParams(c=args.c, m=args.m, ell=args.ell)
+    params = sf.SphericalParams(c=args.c, m=args.m, ell=args.ell)
     if args.n < 1:
         raise DomainError(f"--n must be at least 1, got {args.n}")
     profile = sf.metric_profile(params)
@@ -95,6 +115,8 @@ def _cmd_verify(args):
 
 
 def _cmd_period(args):
+    from . import phase_portrait as pp
+
     inputs = {"a": args.a, "c": args.c, "m": args.m, "ell": args.ell}
     t_quad = pp.period_integral(args.a, args.c, args.m, args.ell)
     t_orbit = pp.orbit_period_numeric(args.a, args.c, args.m, args.ell)
@@ -106,6 +128,9 @@ def _cmd_period(args):
 
 
 def _cmd_theta(args):
+    from . import immersion as im
+    from .spherical_family import SphericalParams
+
     inputs = {"c": args.c, "m": args.m, "ell": args.ell}
     params = SphericalParams(c=args.c, m=args.m, ell=args.ell)
     theta_total = im.big_theta(params)
@@ -125,6 +150,8 @@ def _cmd_theta(args):
 
 
 def _cmd_solve(args):
+    from . import immersion as im
+
     inputs = {"c": args.c, "m": args.m, "p": args.p, "q": args.q}
     result = im.solve_for_ell(args.c, args.m, target_p=args.p, target_q=args.q)
     record = {"inputs": inputs,
@@ -138,6 +165,8 @@ def _cmd_solve(args):
 
 
 def _cmd_scan(args):
+    from . import mesh_io
+
     inputs = {"c": args.c, "m_min": args.m_min, "m_max": args.m_max,
               "ell_min": args.ell_min, "ell_max": args.ell_max,
               "nm": args.nm, "nell": args.nell, "tol": args.tol}
@@ -151,9 +180,12 @@ def _cmd_scan(args):
 
 
 def _closure_from_args(params, args):
+    from . import immersion as im
+
     if args.p is not None and args.q is not None:
-        return ClosureResult(p=args.p, q=args.q,
-                             embedded=(args.p // math.gcd(args.p, args.q) == 1))
+        return im.ClosureResult(
+            p=args.p, q=args.q,
+            embedded=(args.p // math.gcd(args.p, args.q) == 1))
     theta_total = im.big_theta(params)
     closure = im.detect_closure(theta_total, q_max=args.q_max, tol=args.tol)
     if closure is None:
@@ -164,6 +196,9 @@ def _closure_from_args(params, args):
 
 
 def _cmd_profile(args):
+    from . import mesh_io
+    from .spherical_family import SphericalParams
+
     inputs = {"c": args.c, "m": args.m, "ell": args.ell,
               "p": args.p, "q": args.q, "ns": args.ns}
     params = SphericalParams(c=args.c, m=args.m, ell=args.ell)
@@ -185,6 +220,9 @@ def _cmd_profile(args):
 
 
 def _cmd_mesh(args):
+    from . import mesh_io
+    from .spherical_family import SphericalParams
+
     params = SphericalParams(c=args.c, m=args.m, ell=args.ell)
     closure = _closure_from_args(params, args)
     projection = "stereographic" if args.project else None
@@ -194,6 +232,8 @@ def _cmd_mesh(args):
 
 
 def _cmd_minimal(args):
+    from . import spherical_family as sf
+
     if (args.j is None) == (args.m is None):
         raise DomainError("minimal needs exactly one of --j or --m")
     if args.j is not None:

@@ -62,11 +62,12 @@ _IMMERSIBLE = (Classification.INTERIOR_LAMBDA_PRIME,
 
 def _require_immersible(params: SphericalParams) -> Classification:
     cls = params.classification
-    if cls not in _IMMERSIBLE:
+    # the constant solution has c f^2 = ell = sqrt(c m), and r needs c f^2 < 1
+    if cls not in _IMMERSIBLE or not params.m < 1.0 / params.c:
         raise NotImmersible(
             f"(c={params.c}, m={params.m}, ell={params.ell}) classifies as "
             f"{cls.value}; rotational realization needs InteriorLambdaPrime "
-            "or BoundaryConstant"
+            "or BoundaryConstant with m < 1/c"
         )
     return cls
 
@@ -398,8 +399,10 @@ def solve_for_ell(c: float, m: float, target_p: int = 1, target_q: int = 1,
             root = ell_of(v)
             th = complex(_theta_of_ell(c, m, complex(root, _STEP)))
             h = th.real - target
-            # dTheta/dv = dTheta/dell (U - ell)
-            v_next = v - h / (th.imag / _STEP * width * math.exp(-v))
+            # dTheta/dv = dTheta/dell (U - ell); a flat slope stays at v, so
+            # the bracket below bisects instead
+            slope = th.imag / _STEP * width * math.exp(-v)
+            v_next = v - h / slope if slope else v
             if abs(h) <= 1e-13 * target:
                 # converged: the last step is taken without evaluating it
                 root = ell_of(v_next)

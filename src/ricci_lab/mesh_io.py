@@ -9,18 +9,16 @@ insertion-ordered JSON.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import immersion as im
 from . import spherical_family as sf
+from ._output import export_json, open_sink
 from .errors import (
     DomainError,
-    IoError,
     RicciLabError,
     SeamMismatch,
     require_finite,
@@ -173,22 +171,6 @@ def euler_characteristic(mesh: SurfaceMesh) -> int:
     return n_vertices - n_edges + faces.shape[0]
 
 
-@contextmanager
-def open_sink(sink):
-    """Text stream for a path (opened for writing, LF kept) or a stream.
-
-    Any OSError from opening, writing or closing becomes IoError.
-    """
-    try:
-        if hasattr(sink, "write"):
-            yield sink
-        else:
-            with open(sink, "w", newline="") as fh:
-                yield fh
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-
-
 def _write_rows(fh, tag, cell, rows) -> None:
     """One 'tag cell cell ...' line per row, OBJ_BLOCK_ROWS rows per write."""
     line = tag + " " + " ".join([cell] * rows.shape[1]) + "\n"
@@ -230,23 +212,6 @@ def export_csv(rows, fieldnames, sink) -> None:
         writer.writerow(fieldnames)
         for row in rows:
             writer.writerow([_csv_cell(row.get(k)) for k in fieldnames])
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def export_json(record, sink) -> None:
-    """Insertion-ordered JSON with shortest round-trip number rendering."""
-    with open_sink(sink) as fh:
-        json.dump(record, fh, indent=2, default=_json_default)
-        fh.write("\n")
 
 
 SCAN_CSV_FIELDS = ("m", "ell", "Theta", "closed", "p", "q", "embedded")
@@ -294,7 +259,8 @@ def scan_theta(c, m_range, ell_range, resolution, closure_tol=1e-8,
     else:
         nm, nell = resolution
     require_finite(m_min=m_range[0], m_max=m_range[1],
-                   ell_min=ell_range[0], ell_max=ell_range[1])
+                   ell_min=ell_range[0], ell_max=ell_range[1],
+                   closure_tol=closure_tol)
     if nm < 1 or nell < 1:
         raise DomainError(f"scan resolution must be at least 1x1, got {nm}x{nell}")
     ms = np.linspace(m_range[0], m_range[1], nm)

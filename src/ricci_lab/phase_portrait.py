@@ -6,7 +6,9 @@ Periodic orbits live on compact level sets E = ell surrounding the unique
 positive equilibrium, and their minimal period is computed two independent
 ways: a turning-point quadrature and a return-map ODE integration.
 
-Both routes are in this module and use numpy only. The quadrature is the
+Both routes are in this module and run on Python floats; numpy is imported
+only by the functions that return arrays (`integrate_orbit`, the dense
+output's `__call__` and `conformal_profile_check`). The quadrature is the
 periodic midpoint rule (Trefethen and Weideman, SIAM Review 56 (2014)); the
 ODE integrator is the Dormand-Prince 5(4) pair with step-size control and
 Shampine's quartic dense output (Dormand and Prince, J. Comput. Appl. Math.
@@ -20,8 +22,7 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     BlowUp,
@@ -33,6 +34,9 @@ from .errors import (
     WindowError,
     require_finite,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RicciParams",
@@ -476,6 +480,8 @@ class _DenseOutput:
         return _dense_state(u, h, ks, (s - t) / h)
 
     def __call__(self, s):
+        import numpy as np
+
         s = np.asarray(s, dtype=float)
         if s.ndim == 0:
             return np.array(self.at(float(s)))
@@ -519,6 +525,8 @@ def integrate_orbit(a, c, m, x0, y0, s_span, rtol=1e-11, atol=1e-11,
     evenly spaced points of the dense output. `dense` evaluates the state
     anywhere in s_span.
     """
+    import numpy as np
+
     _check_signs(a, c, m)
     require_finite(x0=x0, y0=y0, s_start=s_span[0], s_end=s_span[1])
     if x0 <= 0:
@@ -602,6 +610,8 @@ def conformal_profile_check(params: RicciParams, n_grid: int = 512) -> Conformal
     v by 4th-order central differences on a uniform v-grid obtained from the
     ODE ds/dv = f(s).
     """
+    import numpy as np
+
     a, c, m, ell = params.a, params.c, params.m, params.ell
     delaunay = abs(m - c) <= 1e-12 * (1.0 + abs(c))
 

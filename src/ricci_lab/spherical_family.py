@@ -8,6 +8,8 @@ is a positive (pi/sqrt(c))-periodic solution of
 (f')^2 + c f^2 + m f^(-2) = 2 ell.  This module classifies parameters,
 evaluates f and its derivatives, the curvature range, the isometry-class
 invariants, and the special sub-families (minimal, Delaunay, constant).
+numpy is imported only by the array evaluators, so classification and the
+minimal-slice map run without it.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from . import warped_geometry as wg
 from .errors import DomainError, OutsideFamily, RangeError, require_finite
+
+if TYPE_CHECKING:
+    from .warped_geometry import MetricProfile
 
 __all__ = [
     "Classification",
@@ -41,6 +43,8 @@ __all__ = [
 ]
 
 BOUNDARY_TOL = 1e-14
+# Power of two that rescales ell^2 and c m exactly when either overflows.
+_RESCALE = 2.0 ** -600
 
 
 class Classification(enum.Enum):
@@ -62,8 +66,15 @@ def classify(c: float, m: float, ell: float) -> Classification:
         raise DomainError(f"classify requires c > 0, got c={c}")
     if m <= 0 or ell <= 0:
         return Classification.OUTSIDE
-    disc = ell * ell - c * m
-    if abs(disc) <= BOUNDARY_TOL * (1.0 + ell * ell):
+    ell_sq, cm = ell * ell, c * m
+    if math.isinf(ell_sq) or math.isinf(cm):
+        # the same test on values scaled by a power of two, exact since c m
+        # overflows only when c and m exceed 1
+        ell_sq = (ell * _RESCALE) * (ell * _RESCALE)
+        cm = (c * _RESCALE) * (m * _RESCALE)
+    disc = ell_sq - cm
+    # the rounding error of ell^2 - c m is relative to ell^2 + c m
+    if abs(disc) <= BOUNDARY_TOL * (ell_sq + cm):
         return Classification.BOUNDARY_CONSTANT
     if disc < 0:
         return Classification.OUTSIDE
@@ -126,6 +137,8 @@ def _require_family(params: SphericalParams) -> Classification:
 
 def f_derivs(params: SphericalParams, s):
     """f and its first four derivatives via g = f^2 (a shifted sinusoid)."""
+    import numpy as np
+
     _require_family(params)
     c, ell = params.c, params.ell
     amp = params.amplitude
@@ -154,8 +167,10 @@ def f_closed(params: SphericalParams, s):
     return f, f1, f2
 
 
-def metric_profile(params: SphericalParams) -> wg.MetricProfile:
+def metric_profile(params: SphericalParams) -> MetricProfile:
     """Closed-form MetricProfile; its derivs is one f_derivs call per grid."""
+    from . import warped_geometry as wg
+
     _require_family(params)
 
     def derivs(s):
@@ -171,6 +186,8 @@ def metric_profile(params: SphericalParams) -> wg.MetricProfile:
 
 def edo_residual(params: SphericalParams, s_grid) -> float:
     """max |(f')^2 + c f^2 + m f^(-2) - 2 ell| over the grid."""
+    import numpy as np
+
     f, f1, _ = f_closed(params, np.asarray(s_grid, dtype=float))
     res = f1 * f1 + params.c * f * f + params.m / (f * f) - 2.0 * params.ell
     return float(np.max(np.abs(res)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -22,7 +22,9 @@ from .errors import (
     NonFiniteDerivative,
     require_finite,
 )
-from .phase_portrait import RicciParams
+
+if TYPE_CHECKING:
+    from .phase_portrait import RicciParams
 
 __all__ = [
     "RicciType",
@@ -166,7 +168,8 @@ def ricci_residual(profile: MetricProfile, rtype: RicciType,
     """Residual of (K - c) Lap(K) - (K')^2 - (a K + b)(K - c)^2 on a grid.
 
     Normalized by max over the grid of (1, |K - c|, |K - c|^3) so the
-    acceptance threshold is scale-free.
+    acceptance threshold is scale-free.  A residual or scale that is not
+    finite (the derivatives overflow) raises NonFiniteDerivative.
     """
     a, b, c = rtype.a, rtype.b, rtype.c
     s_grid = np.asarray(s_grid, dtype=float)
@@ -180,8 +183,16 @@ def ricci_residual(profile: MetricProfile, rtype: RicciType,
             [_curvature_derivs(profile, s) for s in s_grid]).T
     gap = k - c
     residuals = gap * lap_k - k1 * k1 - (a * k + b) * gap * gap
+    if not np.all(np.isfinite(residuals)):
+        i = np.argmin(np.isfinite(residuals))
+        raise NonFiniteDerivative(f"non-finite Ricci residual at s={s_grid[i]}")
     gap_max = float(np.max(np.abs(gap)))
-    scale = max(1.0, gap_max, gap_max**3)
+    try:
+        scale = max(1.0, gap_max, gap_max**3)
+    except OverflowError:
+        raise NonFiniteDerivative(
+            f"residual scale |K - c|^3 overflows at |K - c| = {gap_max}"
+        ) from None
     return ResidualReport(residuals=residuals,
                           max_normalized=float(np.max(np.abs(residuals)) / scale),
                           scale=scale)
@@ -193,6 +204,8 @@ def rescale_params(params: RicciParams, eta: float) -> RicciParams:
     (a, c, m, ell) -> (a, c/eta, m eta^((a-2)/2), ell); the energy level and
     the admissibility classification are preserved.
     """
+    from .phase_portrait import RicciParams
+
     if eta <= 0:
         raise InvalidScale(f"eta must be positive, got {eta}")
     return RicciParams(

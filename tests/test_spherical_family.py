@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricci_lab import spherical_family as sf
 from ricci_lab import warped_geometry as wg
@@ -43,6 +45,42 @@ class TestClassify:
                 SphericalParams(c=c, m=m, ell=ell)
         with pytest.raises(DomainError):
             SphericalParams(c=1.0, m=0.5, ell=0.8, phase=bad)
+
+    @pytest.mark.parametrize("c, m, ell, want", [
+        # ell^2 or c m overflows; the test runs on values scaled by 2^-600
+        (1.0, 2.0, 1.3407807929942597e154, Classification.INTERIOR_LAMBDA),
+        (1.0, 1e308, 1e300, Classification.INTERIOR_LAMBDA),
+        (4.0, 1e308, 2e154, Classification.BOUNDARY_CONSTANT),
+        (1e308, 1e308, 1e308, Classification.BOUNDARY_CONSTANT),
+        (1e300, 1e300, 1e299, Classification.OUTSIDE),
+        # the boundary band is relative to ell^2 + c m, not to 1 + ell^2
+        (1.0, 1e-300, 1e-300, Classification.OUTSIDE),
+        (1.0, 1e-20, 1e-10, Classification.BOUNDARY_CONSTANT),
+        (1.0, 1e-20, 1.000001e-10, Classification.INTERIOR_LAMBDA_PRIME),
+    ])
+    def test_extreme_magnitudes(self, c, m, ell, want):
+        assert sf.classify(c, m, ell) is want
+
+    @settings(max_examples=200)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_total_on_finite_inputs(self, c, m, ell):
+        if c <= 0:
+            with pytest.raises(DomainError):
+                sf.classify(c, m, ell)
+        else:
+            assert isinstance(sf.classify(c, m, ell), Classification)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.floats(), min_size=3, max_size=3),
+           st.sets(st.integers(0, 2), min_size=1),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_inputs_raise_domain_error(self, values, where, bad):
+        for i in where:
+            values[i] = bad
+        with pytest.raises(DomainError):
+            sf.classify(*values)
 
 
 class TestClosedForm:
