@@ -183,9 +183,7 @@ def _closure_from_args(params, args):
     from . import immersion as im
 
     if args.p is not None and args.q is not None:
-        return im.ClosureResult(
-            p=args.p, q=args.q,
-            embedded=(args.p // math.gcd(args.p, args.q) == 1))
+        return im.ClosureResult(p=args.p, q=args.q, embedded=(args.p == 1))
     theta_total = im.big_theta(params)
     closure = im.detect_closure(theta_total, q_max=args.q_max, tol=args.tol)
     if closure is None:

@@ -49,7 +49,7 @@ class NotImmersible(RicciLabError):
 # --- numerical failures ------------------------------------------------------
 
 class NonFiniteDerivative(RicciLabError):
-    """Finite differencing hit the domain edge or produced non-finite values."""
+    """Curvature derivatives or the Ricci residual are not finite."""
 
 
 class QuadratureFailure(RicciLabError):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -198,10 +198,8 @@ def theta_grid(params: SphericalParams, s_values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ThetaProfile:
-    """theta together with its per-period advance and rate bounds S1 <= theta' <= S2."""
+    """Per-period advance Theta of theta and the rate bounds S1 <= theta' <= S2."""
 
-    params: SphericalParams
-    theta: Callable[[float], float]
     Theta: float
     S1: float
     S2: float
@@ -226,8 +224,7 @@ def make_theta_profile(params: SphericalParams) -> ThetaProfile:
         rates = _rate_of_fsq(params, g)
         s1 = float(np.min(rates)) * (1.0 - 1e-12)
         s2 = float(np.max(rates)) * (1.0 + 1e-12)
-    return ThetaProfile(params=params, theta=lambda s: theta(params, s),
-                        Theta=big_theta(params), S1=s1, S2=s2)
+    return ThetaProfile(Theta=big_theta(params), S1=s1, S2=s2)
 
 
 def theta_limits(c: float, which: str, m: Optional[float] = None,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,7 +101,6 @@ class SurfaceMesh:
     faces: np.ndarray     # (Ns*Nt, 4) 0-based quad indices
     ns: int
     nt: int
-    provenance: dict = field(default_factory=dict)
 
 
 def build_surface_mesh(params: SphericalParams, closure: ClosureResult,
@@ -133,12 +132,7 @@ def build_surface_mesh(params: SphericalParams, closure: ClosureResult,
     next_row, next_col = np.roll(row, -1), np.roll(col, -1)
     faces = np.stack([row + col, next_row + col, next_row + next_col,
                       row + next_col], axis=-1).reshape(Ns * Nt, 4)
-
-    prov = {"c": params.c, "m": params.m, "ell": params.ell,
-            "p": closure.p, "q": closure.q,
-            "projection": projection, "ns": Ns, "nt": Nt}
-    return SurfaceMesh(vertices=verts, faces=faces, ns=Ns, nt=Nt,
-                       provenance=prov)
+    return SurfaceMesh(vertices=verts, faces=faces, ns=Ns, nt=Nt)
 
 
 def _require_vertex_indices(lowest: int, highest: int, n_vertices: int) -> None:
@@ -158,15 +152,22 @@ def euler_characteristic(mesh: SurfaceMesh) -> int:
     """
     faces = np.asarray(mesh.faces, dtype=np.int64)
     n_vertices = mesh.vertices.shape[0]
-    nxt = np.roll(faces, -1, axis=1)
-    lo, hi = np.minimum(faces, nxt), np.maximum(faces, nxt)
     n_edges = 0
-    if hi.size:
-        top = int(hi.max())
-        _require_vertex_indices(int(lo.min()), top, n_vertices)
+    if faces.size:
+        top = int(faces.max())
+        _require_vertex_indices(int(faces.min()), top, n_vertices)
+        # key = lo * (top + 1) + hi for each edge (lo, hi), formed in the two
+        # arrays np.roll and np.minimum allocate; faces (maybe the caller's
+        # array) is only read.
+        nxt = np.roll(faces, -1, axis=1)
+        keys = np.minimum(faces, nxt)
+        np.maximum(faces, nxt, out=nxt)
+        keys *= top + 1
+        keys += nxt
         # Count distinct keys after a sort: since numpy 2.3, np.unique hashes
         # int64 input, which is over 10x slower than sorting for these keys.
-        keys = np.sort(lo * (top + 1) + hi, axis=None)
+        keys = keys.ravel()
+        keys.sort()
         n_edges = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
     return n_vertices - n_edges + faces.shape[0]
 

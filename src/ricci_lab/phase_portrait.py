@@ -100,9 +100,6 @@ class EnergyWindow:
     upper: float
     equilibrium: float
 
-    def contains(self, ell: float) -> bool:
-        return self.lower < ell < self.upper
-
     def is_degenerate(self, ell: float) -> bool:
         return ell <= self.lower + DEGENERACY_TOL * (1.0 + abs(self.lower))
 
@@ -334,21 +331,14 @@ def period_integral(a: float, c: float, m: float, ell: float) -> float:
 
 @dataclass
 class OrbitSample:
-    """Time-stamped trajectory of the (f, f') system with an energy ledger."""
+    """Time-stamped trajectory of the (f, f') system and its energy drift."""
 
     s: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    energies: np.ndarray
     energy_drift: float
     n_steps: int
-    rtol: float
-    atol: float
     dense: object = field(repr=False, default=None)
-
-    @property
-    def steps(self):
-        return list(zip(self.s, self.x, self.y))
 
 
 # Dormand-Prince 5(4) (Dormand and Prince, J. Comput. Appl. Math. 6 (1980)):
@@ -548,9 +538,8 @@ def integrate_orbit(a, c, m, x0, y0, s_span, rtol=1e-11, atol=1e-11,
         [potential(a, c, m, xv) for xv in xs]
     )
     drift = float(np.max(np.abs(energies - e0))) if len(xs) else 0.0
-    return OrbitSample(s=s, x=xs, y=ys, energies=energies,
-                       energy_drift=drift, n_steps=len(ts) - 1,
-                       rtol=rtol, atol=atol, dense=dense)
+    return OrbitSample(s=s, x=xs, y=ys, energy_drift=drift,
+                       n_steps=len(ts) - 1, dense=dense)
 
 
 _RETURN_MAP_STEPS = 100_000

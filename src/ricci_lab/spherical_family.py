@@ -172,16 +172,9 @@ def metric_profile(params: SphericalParams) -> MetricProfile:
     from . import warped_geometry as wg
 
     _require_family(params)
-
-    def derivs(s):
-        return f_derivs(params, s)
-
-    def component(k):
-        return lambda s: float(derivs(s)[k])
-
-    return wg.MetricProfile(f=component(0), df=component(1), d2f=component(2),
-                            domain=(-math.inf, math.inf),
-                            provenance="closed-form", derivs=derivs)
+    # f_derivs is looked up at each call, so a wrapper set on the module
+    # attribute sees every one
+    return wg.MetricProfile(derivs=lambda s: f_derivs(params, s))
 
 
 def edo_residual(params: SphericalParams, s_grid) -> float:

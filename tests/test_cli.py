@@ -365,14 +365,24 @@ def test_no_source_file_imports_scipy():
             assert not any(n.split(".")[0] == "scipy" for n in names), path
 
 
+# f_derivs overflows at this c; the residual check reports it as one line
+OVERFLOWING_VERIFY = "verify --c 2.248430648807506e-169 --m 2 --ell 2"
+
+
 @pytest.mark.parametrize("argv", sorted(
     a for a in GOLDEN_SHA256
-    if a.split()[0] in ("theta", "scan", "mesh", "period")))
+    if a.split()[0] in ("theta", "scan", "mesh", "period", "verify"))
+    + [OVERFLOWING_VERIFY])
 def test_runs_with_runtime_warnings_as_errors(argv):
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "ricci_lab",
          *argv.split()],
         capture_output=True, text=True, env=subprocess_env(), timeout=120)
+    if argv == OVERFLOWING_VERIFY:
+        assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
+        assert proc.stderr.startswith("numerical failure: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        return
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
 

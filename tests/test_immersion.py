@@ -371,6 +371,14 @@ class TestDetectClosure:
         assert im.detect_closure(theta_total, tol=1e-8).p == 1
         assert im.detect_closure(theta_total, tol=1e-10) is None
 
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 10_000), st.integers(1, 50), st.integers(0, 49))
+    def test_round_trips_two_pi_p_over_q(self, p, q, extra):
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        r = im.detect_closure(2.0 * math.pi * p / q, q_max=min(q + extra, 50))
+        assert (r.p, r.q, r.embedded) == (p, q, p == 1)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             im.detect_closure(-1.0)

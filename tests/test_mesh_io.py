@@ -2,6 +2,7 @@ import io
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,25 @@ class TestLoopReferences:
     def test_euler_matches_edge_set(self, mesh):
         assert (mesh_io.euler_characteristic(mesh)
                 == loop_euler_characteristic(mesh))
+
+    def test_euler_leaves_faces_unchanged(self):
+        mesh = mesh_io.build_surface_mesh(P_IMM, IMMERSED.closure, 64, 24)
+        faces = mesh.faces.copy()
+        assert mesh_io.euler_characteristic(mesh) == 0
+        assert np.array_equal(mesh.faces, faces)
+
+    def test_euler_peak_memory_at_benchmark_size(self):
+        # The edge keys are formed and sorted in two face-sized arrays; a
+        # separate lo, hi, product, sum and sorted copy peaked near 5x.
+        mesh = mesh_io.build_surface_mesh(P_IMM, IMMERSED.closure, 576, 256)
+        tracemalloc.start()
+        try:
+            chi = mesh_io.euler_characteristic(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chi == 0
+        assert peak <= 2.5 * mesh.faces.nbytes
 
     def test_obj_matches_per_line_writer(self):
         verts = np.array([[-0.0, math.inf, -math.inf],

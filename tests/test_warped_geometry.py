@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,18 +18,24 @@ from ricci_lab.phase_portrait import RicciParams
 from ricci_lab.spherical_family import SphericalParams
 
 
-def sin_profile(derivs=None):
-    return wg.MetricProfile(
-        f=math.sin, df=math.cos, d2f=lambda s: -math.sin(s),
-        domain=(0.0, math.pi), provenance="closed-form", derivs=derivs,
-    )
+def sin_derivs(s):
+    return np.sin(s), np.cos(s), -np.sin(s), -np.cos(s), np.sin(s)
+
+
+def cos_derivs(s):
+    return np.cos(s), -np.sin(s), -np.cos(s), np.sin(s), np.cos(s)
+
+
+def sin_profile():
+    return wg.MetricProfile(derivs=sin_derivs, domain=(0.0, math.pi))
 
 
 def flat_profile():
-    one = lambda s: 1.0
-    zero = lambda s: 0.0
-    return wg.MetricProfile(f=one, df=zero, d2f=zero,
-                            domain=(-math.inf, math.inf))
+    def derivs(s):
+        zero = np.zeros_like(s)
+        return np.ones_like(s), zero, zero, zero, zero
+
+    return wg.MetricProfile(derivs=derivs)
 
 
 class TestGaussianCurvature:
@@ -52,61 +59,58 @@ class TestGaussianCurvature:
             ell = math.sqrt(c * m) + rng.uniform(0.05, 1.0)
             params = SphericalParams(c=c, m=m, ell=ell)
             profile = sf.metric_profile(params)
-            for s in np.linspace(-1.0, 4.0, 33):
-                k = wg.gaussian_curvature(profile, float(s))
-                f = profile.f(float(s))
-                assert abs(k - (c - m * f**-4)) <= 1e-10 * (1.0 + abs(c))
+            grid = np.linspace(-1.0, 4.0, 33)
+            k = wg.gaussian_curvature(profile, grid)
+            f = profile.derivs(grid)[0]
+            assert np.all(np.abs(k - (c - m * f**-4)) <= 1e-10 * (1.0 + abs(c)))
+
+    def test_array_matches_scalar_calls(self):
+        profile = sf.metric_profile(SphericalParams(c=2.0, m=0.2, ell=0.9))
+        grid = np.linspace(-1.0, 4.0, 33)
+        k = wg.gaussian_curvature(profile, grid)
+        assert k.shape == grid.shape
+        for s, ks in zip(grid, k):
+            assert wg.gaussian_curvature(profile, float(s)) == ks
 
     def test_outside_domain_raises(self):
         with pytest.raises(DomainError):
             wg.gaussian_curvature(sin_profile(), 4.0)
 
     def test_nonpositive_f_raises(self):
-        bad = wg.MetricProfile(f=math.cos, df=lambda s: -math.sin(s),
-                               d2f=lambda s: -math.cos(s), domain=(0.0, math.pi))
+        bad = wg.MetricProfile(derivs=cos_derivs, domain=(0.0, math.pi))
         with pytest.raises(DegenerateProfile):
             wg.gaussian_curvature(bad, 2.0)
 
 
 class TestLaplacian:
     def test_constant_scalar(self):
-        u = wg.ScalarProfile(u=lambda s: 5.0, du=lambda s: 0.0, d2u=lambda s: 0.0)
-        assert wg.laplacian_rotinv(sin_profile(), u, 1.0) == 0.0
+        # u = 5: u' = u'' = 0
+        assert wg.laplacian_rotinv(sin_profile(), 1.0, du=0.0, d2u=0.0) == 0.0
 
     def test_flat_metric_s_squared(self):
-        u = wg.ScalarProfile(u=lambda s: s * s, du=lambda s: 2.0 * s,
-                             d2u=lambda s: 2.0)
-        assert wg.laplacian_rotinv(flat_profile(), u, 0.7) == pytest.approx(2.0)
+        # u = s^2: u' = 2 s, u'' = 2
+        assert wg.laplacian_rotinv(flat_profile(), 0.7, du=2.0 * 0.7,
+                                   d2u=2.0) == pytest.approx(2.0)
 
     def test_log_curvature_gap_satisfies_linear_equation(self):
         # for the a=4 family, Lap log(c - K) = 4 K with b = 0
         params = SphericalParams(c=1.0, m=0.51, ell=0.73)
         profile = sf.metric_profile(params)
-
-        def du(s):
-            f, f1, _, _, _ = sf.f_derivs(params, s)
-            return -4.0 * f1 / f
-
-        def d2u(s):
-            f, f1, f2, _, _ = sf.f_derivs(params, s)
-            return -4.0 * (f2 / f - (f1 / f) ** 2)
-
-        u = wg.ScalarProfile(u=lambda s: math.log(0.51) - 4.0 * math.log(profile.f(s)),
-                             du=du, d2u=d2u)
-        for s in np.linspace(0.0, math.pi, 17):
-            lap = wg.laplacian_rotinv(profile, u, float(s))
-            k = wg.gaussian_curvature(profile, float(s))
-            assert lap == pytest.approx(4.0 * k, abs=1e-11)
+        # u = log(c - K) = log(m) - 4 log f
+        grid = np.linspace(0.0, math.pi, 17)
+        f, f1, f2, _, _ = sf.f_derivs(params, grid)
+        du = -4.0 * f1 / f
+        d2u = -4.0 * (f2 / f - (f1 / f) ** 2)
+        lap = wg.laplacian_rotinv(profile, grid, du, d2u)
+        k = wg.gaussian_curvature(profile, grid)
+        assert lap == pytest.approx(4.0 * k, abs=1e-11)
 
 
 class TestRicciResidual:
     def test_constant_curvature_chart(self):
-        profile = wg.MetricProfile(
-            f=math.sin, df=math.cos, d2f=lambda s: -math.sin(s),
-            domain=(0.0, math.pi),
-        )
         grid = np.linspace(0.3, math.pi - 0.3, 32)
-        report = wg.ricci_residual(profile, wg.RicciType(a=4.0, c=1.0), grid)
+        report = wg.ricci_residual(sin_profile(), wg.RicciType(a=4.0, c=1.0),
+                                   grid)
         assert report.max_normalized <= 1e-10
 
     def test_flat_cylinder(self):
@@ -121,26 +125,16 @@ class TestRicciResidual:
         report = wg.ricci_residual(profile, wg.RicciType(a=4.0, c=1.0), grid)
         assert report.max_normalized <= 1e-8
 
-    def test_finite_difference_fallback_matches_closed_form(self):
-        params = SphericalParams(c=1.0, m=0.5, ell=0.8)
-        full = sf.metric_profile(params)
-        fd_only = wg.MetricProfile(f=full.f, df=full.df, d2f=full.d2f,
-                                   domain=full.domain)
-        grid = np.linspace(0.0, math.pi, 64)
-        rtype = wg.RicciType(a=4.0, c=1.0)
-        a = wg.ricci_residual(full, rtype, grid)
-        b = wg.ricci_residual(fd_only, rtype, grid)
-        # fallback is noisier but must agree on the verdict scale
-        assert a.max_normalized <= 1e-10
-        assert b.max_normalized <= 1e-5
-
-    def test_fd_stencil_at_domain_edge_raises(self):
-        profile = wg.MetricProfile(
-            f=math.sin, df=math.cos, d2f=lambda s: -math.sin(s),
-            domain=(0.0, math.pi),
-        )
-        with pytest.raises(NonFiniteDerivative):
-            wg.ricci_residual(profile, wg.RicciType(a=4.0, c=1.0), [1e-7])
+    def test_overflowing_derivatives_raise_without_warnings(self):
+        # f^2 is about ell / c = 9e168, so the fourth derivative overflows:
+        # a typed error, and no numpy RuntimeWarning on the way to it
+        params = SphericalParams(c=2.248430648807506e-169, m=2.0, ell=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteDerivative):
+                wg.ricci_residual(sf.metric_profile(params),
+                                  wg.RicciType(a=4.0, c=params.c),
+                                  np.linspace(0.0, params.period, 8))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
@@ -148,12 +142,9 @@ class TestRicciResidual:
 
     @pytest.mark.parametrize("grid", [0.5, [[0.5, 0.6], [0.7, 0.8]]])
     def test_grid_that_is_not_one_dimensional_rejected(self, grid):
-        full = sf.metric_profile(SphericalParams(c=1.0, m=0.5, ell=0.8))
-        fd_only = wg.MetricProfile(f=full.f, df=full.df, d2f=full.d2f,
-                                   domain=full.domain)
-        for profile in (full, fd_only):
-            with pytest.raises(DomainError):
-                wg.ricci_residual(profile, wg.RicciType(a=4.0, c=1.0), grid)
+        profile = sf.metric_profile(SphericalParams(c=1.0, m=0.5, ell=0.8))
+        with pytest.raises(DomainError):
+            wg.ricci_residual(profile, wg.RicciType(a=4.0, c=1.0), grid)
 
 
 def pointwise_residual_reference(params, s_grid, a=4.0, b=0.0):
@@ -186,10 +177,6 @@ def assert_matches_reference(params, grid, tol=1e-14):
     assert np.max(np.abs(report.residuals - residuals)) <= tol * scale
     assert abs(report.max_normalized - max_normalized) <= tol
     return report
-
-
-def sin_derivs(s):
-    return np.sin(s), np.cos(s), -np.sin(s), -np.cos(s), np.sin(s)
 
 
 class TestArrayResidual:
@@ -234,13 +221,13 @@ class TestArrayResidual:
         assert calls == [(512,)]
 
     def test_constant_curvature_chart_with_derivs(self):
-        profile = sin_profile(sin_derivs)
+        profile = sin_profile()
         report = wg.ricci_residual(profile, wg.RicciType(a=4.0, c=1.0),
                                    np.linspace(0.01, math.pi - 0.01, 32))
         assert report.max_normalized <= 1e-14
 
     def test_one_point_outside_domain_raises(self):
-        profile = sin_profile(sin_derivs)
+        profile = sin_profile()
         grid = np.linspace(0.5, 2.5, 9)
         grid[6] = 4.0
         with pytest.raises(DomainError, match="s=4.0 outside"):
@@ -250,13 +237,7 @@ class TestArrayResidual:
             wg.ricci_residual(profile, wg.RicciType(a=4.0, c=1.0), grid)
 
     def test_one_nonpositive_point_raises(self):
-        def cos_derivs(s):
-            return np.cos(s), -np.sin(s), -np.cos(s), np.sin(s), np.cos(s)
-
-        profile = wg.MetricProfile(
-            f=math.cos, df=lambda s: -math.sin(s), d2f=lambda s: -math.cos(s),
-            domain=(-math.inf, math.inf), derivs=cos_derivs,
-        )
+        profile = wg.MetricProfile(derivs=cos_derivs)
         grid = np.linspace(-1.0, 1.0, 9)
         grid[3] = 2.0
         with pytest.raises(DegenerateProfile, match=r"f\(2.0\)"):
@@ -326,20 +307,18 @@ class TestTypes:
         with pytest.raises(DomainError):
             wg.RicciType(a=math.nan, c=1.0)
 
-    def test_lattice_validation(self):
-        with pytest.raises(DomainError):
-            wg.TorusLattice(T=0.0, gamma1=0.0, gamma2=1.0)
-        with pytest.raises(DomainError):
-            wg.TorusLattice(T=1.0, gamma1=0.0, gamma2=0.0)
-
     def test_closed_form_derivatives_match_finite_differences(self):
         params = SphericalParams(c=1.0, m=0.51, ell=0.73)
         profile = sf.metric_profile(params)
+
+        def f(s):
+            return float(profile.derivs(s)[0])
+
         h1, h2 = 1e-6, 1e-4
         for s in np.linspace(0.1, math.pi, 64):
             s = float(s)
-            fd1 = (profile.f(s + h1) - profile.f(s - h1)) / (2.0 * h1)
-            fd2 = (profile.f(s + h2) - 2.0 * profile.f(s)
-                   + profile.f(s - h2)) / (h2 * h2)
-            assert abs(profile.df(s) - fd1) <= 1e-6 * max(1.0, abs(fd1))
-            assert abs(profile.d2f(s) - fd2) <= 1e-6 * max(1.0, abs(fd2))
+            _, df, d2f, _, _ = profile.derivs(s)
+            fd1 = (f(s + h1) - f(s - h1)) / (2.0 * h1)
+            fd2 = (f(s + h2) - 2.0 * f(s) + f(s - h2)) / (h2 * h2)
+            assert abs(df - fd1) <= 1e-6 * max(1.0, abs(fd1))
+            assert abs(d2f - fd2) <= 1e-6 * max(1.0, abs(fd2))
