@@ -1,8 +1,8 @@
 """Command-line front door.
 
-Exit codes: 0 success, 2 precondition failure, 3 numerical failure,
-64 usage error, 74 output could not be written.  Data goes to --out (or
-stdout); diagnostics to stderr.
+Exit codes: 0 success, 64 usage error; a RicciLabError exits with its
+type's exit_code after one stderr line (see errors.py and the README).
+Data goes to --out (or stdout); diagnostics to stderr.
 
 Imports: each ``_cmd_*`` imports the modules it uses, so a fresh process
 loads only what its subcommand needs.  ``classify``, ``minimal``,
@@ -22,38 +22,10 @@ import re
 import sys
 
 from ._output import export_json, open_sink
-from .errors import (
-    BlowUp,
-    DegenerateLevel,
-    DegenerateProfile,
-    DomainError,
-    InvalidScale,
-    IoError,
-    NoBracket,
-    NonFiniteDerivative,
-    NotImmersible,
-    OutsideFamily,
-    PoleSingularity,
-    QuadratureFailure,
-    RangeError,
-    RicciLabError,
-    SeamMismatch,
-    SignError,
-    StepFailure,
-    WindowError,
-)
+from .errors import DomainError, NotImmersible, RicciLabError
 
 EXIT_OK = 0
-EXIT_PRECONDITION = 2
-EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
-EXIT_IO = 74
-
-_PRECONDITION_ERRORS = (DomainError, DegenerateProfile, InvalidScale,
-                        SignError, DegenerateLevel, WindowError,
-                        OutsideFamily, RangeError, NotImmersible)
-_NUMERICAL_ERRORS = (QuadratureFailure, BlowUp, StepFailure, NoBracket,
-                     SeamMismatch, PoleSingularity, NonFiniteDerivative)
 
 
 class _UsageError(Exception):
@@ -340,18 +312,9 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     try:
         args.handler(args)
-    except _PRECONDITION_ERRORS as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except IoError as exc:
-        print(f"output failure: {exc}", file=sys.stderr)
-        return EXIT_IO
     except RicciLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ _carlson_form); no quadrature is involved.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,13 +26,15 @@ from typing import Optional
 import numpy as np
 
 from . import spherical_family as sf
-from ._carlson import rf_rj
+from ._carlson import rf_rj_unguarded
 from .errors import (
     DomainError,
     NoBracket,
     NotImmersible,
     PoleSingularity,
+    QuadratureFailure,
     RangeError,
+    SeamMismatch,
     require_finite,
 )
 from .spherical_family import Classification, SphericalParams
@@ -53,11 +56,14 @@ __all__ = [
     "profile_point",
     "surface_point",
     "stereographic",
+    "build_profile",
     "profile_simple_check",
 ]
 
 _IMMERSIBLE = (Classification.INTERIOR_LAMBDA_PRIME,
                Classification.BOUNDARY_CONSTANT)
+# Largest distance between a closed profile's endpoint and its start.
+SEAM_TOL = 1e-6
 
 
 def _require_immersible(params: SphericalParams) -> Classification:
@@ -114,7 +120,7 @@ def _carlson_form(c, m, ell, A, gap):
 
 
 def _form(params: SphericalParams):
-    """_carlson_form of immersible params.
+    """Arguments (c, m, ell, A, gap) of _carlson_form for immersible params.
 
     A is params.amplitude, which is 0 where rounding makes ell^2 - c m
     negative on the constant boundary; the form is continuous onto A = 0
@@ -122,41 +128,51 @@ def _form(params: SphericalParams):
     """
     _require_immersible(params)
     c, m, ell = params.c, params.m, params.ell
-    return _carlson_form(c, m, ell, params.amplitude, (1.0 - 2.0 * ell) + c * m)
+    return c, m, ell, params.amplitude, (1.0 - 2.0 * ell) + c * m
 
 
-def _complete_theta(form):
-    """Theta from the constants of _carlson_form, in one kernel call:
+def _complete_theta(c, m, ell, A, gap):
+    """Theta from _carlson_form(c, m, ell, A, gap), in one kernel call:
 
         Theta = 2 P [alpha R_F(0, y, z) + beta (R_F(0, y, z)
                 + (rho/3) R_J(0, y, z, k)) / h-]
 
-    Array and complex constants pass through elementwise.
+    Array and complex arguments pass through elementwise.  Every Theta route
+    ends here, so a Theta that is not finite (below c m of about 1e-162,
+    g- N- underflows to 0 and P to inf) raises QuadratureFailure here.
     """
-    P, alpha, beta_h, rho3, y, z, k = form
-    rf, rj = rf_rj(0.0, y, z, k)
-    return 2.0 * P * (alpha * rf + beta_h * (rf + rho3 * rj))
+    with np.errstate(all="ignore"):
+        P, alpha, beta_h, rho3, y, z, k = _carlson_form(c, m, ell, A, gap)
+        rf, rj = rf_rj_unguarded(0.0, y, z, k)
+        theta_total = 2.0 * P * (alpha * rf + beta_h * (rf + rho3 * rj))
+    # on a scalar, cmath.isfinite costs a small share of a ufunc call
+    if not (np.isfinite(theta_total).all() if theta_total.ndim
+            else cmath.isfinite(theta_total)):
+        raise QuadratureFailure(
+            f"Theta is not finite at c={c}, m={m}: its Carlson form leaves "
+            "the float range")
+    return theta_total
 
 
 @lru_cache(maxsize=512)
 def big_theta(params: SphericalParams) -> float:
     """Rotation advance over one fundamental period: Theta = theta(pi/sqrt(c)),
     in closed form (_complete_theta)."""
-    return float(_complete_theta(_form(params)))
+    return float(_complete_theta(*_form(params)))
 
 
 def _theta_of_ell(c, m, ell):
     """Theta on the slice c m in (0, 1) at an array of interior ell, or at a
     complex ell (real part interior), whose imaginary part then carries the
     derivative in ell."""
-    return _complete_theta(_carlson_form(c, m, ell, np.sqrt(ell * ell - c * m),
-                                         (1.0 - 2.0 * ell) + c * m))
+    return _complete_theta(c, m, ell, np.sqrt(ell * ell - c * m),
+                           (1.0 - 2.0 * ell) + c * m)
 
 
 def _theta_values(params: SphericalParams, s) -> np.ndarray:
     """theta at an array of s in one kernel call.
 
-    With psi = sqrt(c) s + pi/4 + phase/2 the profile is
+    With psi = sqrt(c) s + pi/4 the profile is
     f^2 = g- cos^2 psi + g+ sin^2 psi, and theta = H(psi(s)) - H(psi(0)),
     where H(psi) = n Theta + H(psi - n pi) for n = round(psi/pi) and, for
     r in [-pi/2, pi/2], x = sin r and X = cos^2 r,
@@ -166,17 +182,20 @@ def _theta_values(params: SphericalParams, s) -> np.ndarray:
 
     with Y = X + y x^2, Z = X + z x^2 and W = X + k x^2 formed as sums.
     """
-    P, alpha, beta_h, rho3, y, z, k = _form(params)
-    psi0 = 0.25 * math.pi + 0.5 * params.phase
+    # raises first when Theta is not finite
+    theta_total = big_theta(params)
+    psi0 = 0.25 * math.pi
     psi = np.append(psi0, math.sqrt(params.c) * np.asarray(s, dtype=float) + psi0)
     n = np.round(psi / math.pi)
     r = psi - n * math.pi
     x = np.sin(r)
     X = np.cos(r) ** 2
     x2 = x * x
-    rf, rj = rf_rj(X, X + y * x2, X + z * x2, X + k * x2)
-    h = n * big_theta(params) + P * (alpha * x * rf
-                                     + beta_h * (x * rf + rho3 * x * x2 * rj))
+    with np.errstate(all="ignore"):
+        P, alpha, beta_h, rho3, y, z, k = _carlson_form(*_form(params))
+        rf, rj = rf_rj_unguarded(X, X + y * x2, X + z * x2, X + k * x2)
+    h = n * theta_total + P * (alpha * x * rf
+                               + beta_h * (x * rf + rho3 * x * x2 * rj))
     return h[1:] - h[0]
 
 
@@ -319,14 +338,15 @@ _STEP = 1e-30
 # solve makes at most 10 kernel calls.
 _NEWTON_STEPS = 8
 _LN2 = math.log(2.0)
+_N_SCAN = 64
 
 
 def solve_for_ell(c: float, m: float, target_p: int = 1, target_q: int = 1,
-                  n_scan: int = 64, tol: float = 1e-10) -> SolveResult:
+                  tol: float = 1e-10) -> SolveResult:
     """Find ell with Theta(m, ell) = 2 pi p / q by a scan, then Newton.
 
     Theta is not assumed monotone in ell.  One kernel call evaluates it at
-    n_scan points from 1e-9 (1 + c m) inside each end of (L, U), where
+    _N_SCAN points from 1e-9 (1 + c m) inside each end of (L, U), where
     L = sqrt(c m) and U = (1 + c m)/2, and every sign change between
     neighbours is a bracket.  The first bracket is refined by Newton in
     v = ln((U - L)/(U - ell)), starting from linear interpolation in v
@@ -357,7 +377,7 @@ def solve_for_ell(c: float, m: float, target_p: int = 1, target_q: int = 1,
     width = upper - lower
     delta = 1e-9 * (1.0 + c * m)
     lo, hi = lower + delta, upper - delta
-    ells = np.linspace(lo, hi, n_scan)
+    ells = np.linspace(lo, hi, _N_SCAN)
     values = _theta_of_ell(c, m, ells) - target
     starts = np.flatnonzero((values[:-1] == 0.0)
                             | (values[:-1] * values[1:] < 0.0))
@@ -365,7 +385,7 @@ def solve_for_ell(c: float, m: float, target_p: int = 1, target_q: int = 1,
     if not brackets:
         reach = 1.0 - (q / (2.0 * p)) ** 2
         msg = (f"Theta - {target} has no sign change over ({lo}, {hi}) at "
-               f"{n_scan} samples; Theta spans [{target + values.min()}, "
+               f"{_N_SCAN} samples; Theta spans [{target + values.min()}, "
                f"{target + values.max()}], and its lower-boundary limit is "
                f"pi/sqrt(1 - sqrt(cm)) = "
                f"{theta_limits(c, 'ell_to_lower', m=m)}")
@@ -449,14 +469,20 @@ def mean_curvature(params: SphericalParams, s) -> float:
     return simplified
 
 
-def profile_point(params: SphericalParams, s: float,
-                  theta_value: Optional[float] = None) -> np.ndarray:
-    """Profile-curve point alpha(s) in R^4 (fourth coordinate 0)."""
+def profile_point(params: SphericalParams, s, theta_value=None) -> np.ndarray:
+    """Profile-curve point alpha(s) = (r cos theta, r sin theta, f, 0) in R^4,
+    r = sqrt(1/c - f^2), at a scalar s (shape (4,)) or an array of s (shape
+    s.shape + (4,)).  theta_value, when given, is theta at s."""
     _require_immersible(params)
-    f, _, _ = sf.f_closed(params, s)
-    th = theta(params, s) if theta_value is None else theta_value
-    r = math.sqrt(max(1.0 / params.c - f * f, 0.0))
-    return np.array([r * math.cos(th), r * math.sin(th), float(f), 0.0])
+    s = np.asarray(s, dtype=float)
+    if theta_value is None:
+        if not np.isfinite(s).all():
+            raise DomainError("profile_point needs finite s")
+        theta_value = np.reshape(_theta_values(params, s), s.shape)
+    f = sf.f_closed(params, s)[0]
+    r = np.sqrt(np.maximum(1.0 / params.c - f * f, 0.0))
+    return np.stack([r * np.cos(theta_value), r * np.sin(theta_value), f,
+                     np.zeros_like(f)], axis=-1)
 
 
 def surface_point(params: SphericalParams, s: float, t: float,
@@ -481,40 +507,6 @@ def stereographic(points, c: float) -> np.ndarray:
     return p[..., :3] / denom
 
 
-def profile_simple_check(params: SphericalParams,
-                         closure: Optional[ClosureResult],
-                         n_samples: int = 1024) -> bool:
-    """True when the closed polygon through n_samples points of the planar
-    projection (x, y) of the profile curve, over one circuit of q fundamental
-    periods, has no self-intersection.
-
-    On the admissible set theta' > 0 and r > 0, so the profile is a polar
-    graph.  When every polygon step, the closing one included, turns about
-    the origin by an angle in (0, pi), each ray from the origin meets the
-    polygon once per turn, so it is simple exactly when it winds once.  The
-    turns are measured from the points, not from theta or closure.p.
-    Raises DomainError when the samples are too coarse for that certificate.
-    """
-    if closure is None:
-        raise DomainError("profile_simple_check needs a closure result")
-    if n_samples < 3:
-        raise DomainError(f"n_samples={n_samples}: a polygon needs at least 3")
-    _require_immersible(params)
-    s = np.linspace(0.0, closure.q * params.period, n_samples, endpoint=False)
-    thetas = theta_grid(params, s)
-    f = sf.f_closed(params, s)[0]
-    r = np.sqrt(np.maximum(1.0 / params.c - f * f, 0.0))
-    x, y = r * np.cos(thetas), r * np.sin(thetas)
-    x1, y1 = np.roll(x, -1), np.roll(y, -1)
-    turns = np.arctan2(x * y1 - y * x1, x * x1 + y * y1)
-    if not (np.all(r > 0) and np.all((turns > 0) & (turns < math.pi))):
-        raise DomainError(
-            f"n_samples={n_samples} too small for a certified verdict: a "
-            "polygon step turns outside (0, pi) about the origin"
-        )
-    return round(float(np.sum(turns)) / (2.0 * math.pi)) == 1
-
-
 @dataclass(frozen=True)
 class ProfileCurve:
     """Discretized profile curve with closure metadata."""
@@ -524,3 +516,66 @@ class ProfileCurve:
     points: np.ndarray  # (n, 4)
     closure: Optional[ClosureResult]
     winding: dict
+
+
+def build_profile(params: SphericalParams, closure: ClosureResult,
+                  Ns: int) -> ProfileCurve:
+    """Ns points alpha(s), uniform in s, over one circuit of the closed
+    profile curve: q periods of f, or on the constant boundary, where f has
+    no period, the circle theta in [0, 2 pi p).
+
+    Raises DomainError without a closure or for Ns < 16 q, and SeamMismatch
+    when the endpoint misses the start by more than SEAM_TOL (an ell that
+    does not close the curve).
+    """
+    if closure is None:
+        raise DomainError("build_profile needs a closure result")
+    if Ns < 16 * closure.q:
+        raise DomainError(f"Ns={Ns} too coarse; need at least {16 * closure.q}")
+    if _require_immersible(params) is Classification.BOUNDARY_CONSTANT:
+        s_total = 2.0 * math.pi * closure.p / float(theta_rate(params, 0.0))
+    else:
+        s_total = closure.q * params.period
+    s = np.linspace(0.0, s_total, Ns, endpoint=False)
+    thetas = theta_grid(params, s)
+    points = profile_point(params, s, theta_value=thetas)
+
+    theta_end = theta(params, s_total)
+    end_point = profile_point(params, s_total, theta_value=theta_end)
+    gap = float(np.linalg.norm(end_point - points[0]))
+    # written so that a NaN gap fails too
+    if not gap <= SEAM_TOL:
+        raise SeamMismatch(
+            f"profile endpoint misses its start by {gap:.3e} "
+            f"(theta advance {theta_end} vs 2*pi*{closure.p})"
+        )
+    winding = {"p": closure.p, "q": closure.q, "gap": gap,
+               "theta_total": theta_end, "s_total": s_total}
+    return ProfileCurve(s=s, theta=thetas, points=points,
+                        closure=closure, winding=winding)
+
+
+def profile_simple_check(params: SphericalParams,
+                         closure: Optional[ClosureResult],
+                         n_samples: int = 1024) -> bool:
+    """True when the closed polygon through the planar projection (x, y) of
+    build_profile(params, closure, n_samples) has no self-intersection.
+
+    On the admissible set theta' > 0 and r > 0, so the profile is a polar
+    graph.  When every polygon step, the closing one included, turns about
+    the origin by an angle in (0, pi), each ray from the origin meets the
+    polygon once per turn, so it is simple exactly when it winds once.  The
+    turns are measured from the points, not from theta or closure.p.
+    Raises what build_profile raises, and DomainError when a step turns
+    outside (0, pi), which leaves the samples too coarse for the certificate.
+    """
+    points = build_profile(params, closure, n_samples).points
+    x, y = points[:, 0], points[:, 1]
+    x1, y1 = np.roll(x, -1), np.roll(y, -1)
+    turns = np.arctan2(x * y1 - y * x1, x * x1 + y * y1)
+    if not np.all((turns > 0) & (turns < math.pi)):
+        raise DomainError(
+            f"n_samples={n_samples} too small for a certified verdict: a "
+            "polygon step turns outside (0, pi) about the origin"
+        )
+    return round(float(np.sum(turns)) / (2.0 * math.pi)) == 1

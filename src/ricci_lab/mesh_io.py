@@ -1,4 +1,4 @@
-"""Discretization of profile curves and swept tori, plus bit-exact exporters.
+"""Swept-torus meshes, the (m, ell) scan, and bit-exact exporters.
 
 Meshes keep the (s, t) grid structure as quads and identify both seams by
 index wraparound, so every emitted torus has Euler characteristic 0.
@@ -17,13 +17,8 @@ import numpy as np
 from . import immersion as im
 from . import spherical_family as sf
 from ._output import export_json, open_sink
-from .errors import (
-    DomainError,
-    RicciLabError,
-    SeamMismatch,
-    require_finite,
-)
-from .immersion import ClosureResult, ProfileCurve
+from .errors import DomainError, RicciLabError, require_finite
+from .immersion import ClosureResult, build_profile
 from .spherical_family import Classification, SphericalParams
 
 __all__ = [
@@ -39,58 +34,10 @@ __all__ = [
     "SCAN_CSV_FIELDS",
 ]
 
-SEAM_TOL = 1e-6
 # Rows of vertices or faces formatted per write by export_obj: big enough to
 # amortize the call, small enough that the text of one block stays well under
 # the arrays it is formatted from.
 OBJ_BLOCK_ROWS = 4096
-
-
-def _profile_span(params: SphericalParams, closure: ClosureResult) -> float:
-    """s-extent of one closed circuit of the profile curve.
-
-    For the constant (Clifford-like) solutions f has no fundamental period;
-    the circuit is the circle theta in [0, 2 pi p), traversed at the constant
-    rate theta'.
-    """
-    if params.classification is Classification.BOUNDARY_CONSTANT:
-        rate = float(im.theta_rate(params, 0.0))
-        return 2.0 * math.pi * closure.p / rate
-    return closure.q * params.period
-
-
-def build_profile(params: SphericalParams, closure: ClosureResult,
-                  Ns: int) -> ProfileCurve:
-    """Uniform-s discretization of the closed profile curve.
-
-    Raises SeamMismatch when the endpoint fails to wrap back onto the start
-    (the signature of an ell that does not actually close the curve).
-    """
-    if closure is None:
-        raise DomainError("build_profile needs a closure result")
-    if Ns < 16 * closure.q:
-        raise DomainError(f"Ns={Ns} too coarse; need at least {16 * closure.q}")
-    s_total = _profile_span(params, closure)
-    s = np.linspace(0.0, s_total, Ns, endpoint=False)
-    thetas = im.theta_grid(params, s)
-    f = sf.f_closed(params, s)[0]
-    r = np.sqrt(np.maximum(1.0 / params.c - f * f, 0.0))
-    points = np.stack(
-        [r * np.cos(thetas), r * np.sin(thetas), f, np.zeros_like(f)], axis=1
-    )
-
-    theta_end = im.theta(params, s_total)
-    end_point = im.profile_point(params, s_total, theta_value=theta_end)
-    gap = float(np.linalg.norm(end_point - points[0]))
-    if gap > SEAM_TOL:
-        raise SeamMismatch(
-            f"profile endpoint misses its start by {gap:.3e} "
-            f"(theta advance {theta_end} vs 2*pi*{closure.p})"
-        )
-    winding = {"p": closure.p, "q": closure.q, "gap": gap,
-               "theta_total": theta_end, "s_total": s_total}
-    return ProfileCurve(s=s, theta=thetas, points=points,
-                        closure=closure, winding=winding)
 
 
 @dataclass
@@ -112,6 +59,8 @@ def build_surface_mesh(params: SphericalParams, closure: ClosureResult,
     """
     if Nt < 4:
         raise DomainError(f"Nt={Nt} too coarse; quads need Nt >= 4")
+    # looked up on this module, so a wrapper set on mesh_io.build_profile
+    # sees these calls and not profile_simple_check's
     prof = build_profile(params, closure, Ns)
     t = np.linspace(0.0, 2.0 * math.pi, Nt, endpoint=False)
     z = prof.points[:, 2:3]
@@ -218,7 +167,7 @@ def export_csv(rows, fieldnames, sink) -> None:
 SCAN_CSV_FIELDS = ("m", "ell", "Theta", "closed", "p", "q", "embedded")
 
 
-def _scan_cell(c, m, ell, closure_tol, q_max):
+def _scan_cell(c, m, ell, closure_tol):
     row = {"m": m, "ell": ell, "Theta": None, "closed": False,
            "p": None, "q": None, "embedded": False,
            "status": "ok", "near_lower": False, "near_upper": False}
@@ -240,15 +189,14 @@ def _scan_cell(c, m, ell, closure_tol, q_max):
         row["status"] = type(exc).__name__
         return row
     row["Theta"] = theta_total
-    closure = im.detect_closure(theta_total, q_max=q_max, tol=closure_tol)
+    closure = im.detect_closure(theta_total, tol=closure_tol)
     if closure is not None:
         row.update(closed=True, p=closure.p, q=closure.q,
                    embedded=closure.embedded)
     return row
 
 
-def scan_theta(c, m_range, ell_range, resolution, closure_tol=1e-8,
-               q_max=50):
+def scan_theta(c, m_range, ell_range, resolution, closure_tol=1e-8):
     """Theta/closure table over an (m, ell) grid; failures become row codes.
 
     Grid cells outside the immersible set are kept with a reason code rather
@@ -266,5 +214,5 @@ def scan_theta(c, m_range, ell_range, resolution, closure_tol=1e-8,
         raise DomainError(f"scan resolution must be at least 1x1, got {nm}x{nell}")
     ms = np.linspace(m_range[0], m_range[1], nm)
     ells = np.linspace(ell_range[0], ell_range[1], nell)
-    return [_scan_cell(c, float(m), float(ell), closure_tol, q_max)
+    return [_scan_cell(c, float(m), float(ell), closure_tol)
             for m in ms for ell in ells]

@@ -592,7 +592,10 @@ class ConformalCheck:
     delaunay_type: bool
 
 
-def conformal_profile_check(params: RicciParams, n_grid: int = 512) -> ConformalCheck:
+_CONFORMAL_GRID = 512
+
+
+def conformal_profile_check(params: RicciParams) -> ConformalCheck:
     """Verify y(v) = -log f(s(v)) solves y'' = c e^(-2y) - m e^((a-2)y).
 
     v is the conformal coordinate dv = ds / f.  y is differentiated twice in
@@ -631,7 +634,7 @@ def conformal_profile_check(params: RicciParams, n_grid: int = 512) -> Conformal
 
     # 1/f over two whole periods of f is periodic
     v_total = _periodic_midpoint(lambda s: 1.0 / f_of_s(s), s_hi, rtol=1e-10)
-    v_grid = np.linspace(0.0, v_total, n_grid)
+    v_grid = np.linspace(0.0, v_total, _CONFORMAL_GRID)
 
     _, _, s_dense = _integrate(lambda s: (f_of_s(s[0]),), 0.0, (0.0,), v_total,
                                1e-12, 1e-12)

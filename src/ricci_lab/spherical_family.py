@@ -2,7 +2,7 @@
 
 For c > 0 and (m, ell) with m > 0, ell > sqrt(c m), the warping function
 
-    f(s) = sqrt((ell + sqrt(ell^2 - c m) sin(2 sqrt(c) s + phase)) / c)
+    f(s) = sqrt((ell + sqrt(ell^2 - c m) sin(2 sqrt(c) s)) / c)
 
 is a positive (pi/sqrt(c))-periodic solution of
 (f')^2 + c f^2 + m f^(-2) = 2 ell.  This module classifies parameters,
@@ -85,15 +85,14 @@ def classify(c: float, m: float, ell: float) -> Classification:
 
 @dataclass(frozen=True)
 class SphericalParams:
-    """(c, m, ell) plus the sine phase (0 everywhere except phase tests)."""
+    """Parameters (c, m, ell) of one member of the family."""
 
     c: float
     m: float
     ell: float
-    phase: float = 0.0
 
     def __post_init__(self):
-        require_finite(c=self.c, m=self.m, ell=self.ell, phase=self.phase)
+        require_finite(c=self.c, m=self.m, ell=self.ell)
         if self.c <= 0:
             raise DomainError(f"c must be positive, got {self.c}")
 
@@ -143,7 +142,7 @@ def f_derivs(params: SphericalParams, s):
     c, ell = params.c, params.ell
     amp = params.amplitude
     w = 2.0 * math.sqrt(c)
-    ph = w * np.asarray(s, dtype=float) + params.phase
+    ph = w * np.asarray(s, dtype=float)
     g = (ell + amp * np.sin(ph)) / c
     g1 = amp * w * np.cos(ph) / c
     g2 = -w * w * (g - ell / c)

@@ -3,7 +3,7 @@
 A profile is its derivs: one call maps an array of s to the arrays
 (f, f', f'', f''', f'''').  Curvature of the warped chart is K = -f''/f; the
 rotationally invariant Laplacian of an s-only function is u'' + (f'/f) u'.
-The generalized Ricci residual R = (K - c) Lap(K) - (K')^2 - (a K + b)(K - c)^2
+The generalized Ricci residual R = (K - c) Lap(K) - (K')^2 - a K (K - c)^2
 is evaluated in one array pass from those closed-form derivatives.
 """
 
@@ -39,14 +39,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RicciType:
-    """Type triple (a, b, c); every constructor here keeps b = 0."""
+    """Type pair (a, c) of the generalized Ricci condition."""
 
     a: float
     c: float
-    b: float = 0.0
 
     def __post_init__(self):
-        require_finite(a=self.a, b=self.b, c=self.c)
+        require_finite(a=self.a, c=self.c)
 
 
 @dataclass(frozen=True)
@@ -110,13 +109,13 @@ class ResidualReport:
 
 def ricci_residual(profile: MetricProfile, rtype: RicciType,
                    s_grid) -> ResidualReport:
-    """Residual of (K - c) Lap(K) - (K')^2 - (a K + b)(K - c)^2 on a grid.
+    """Residual of (K - c) Lap(K) - (K')^2 - a K (K - c)^2 on a grid.
 
     Normalized by max over the grid of (1, |K - c|, |K - c|^3) so the
     acceptance threshold is scale-free.  A residual or scale that is not
     finite (the derivatives overflow) raises NonFiniteDerivative.
     """
-    a, b, c = rtype.a, rtype.b, rtype.c
+    a, c = rtype.a, rtype.c
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.ndim != 1 or s_grid.size == 0:
         raise DomainError(f"ricci_residual needs a non-empty 1-D grid, got "
@@ -130,7 +129,7 @@ def ricci_residual(profile: MetricProfile, rtype: RicciType,
               - 2.0 * f2 * f1**2 / f**3)
         gap = k - c
         residuals = (gap * _laplacian(f, f1, k1, k2) - k1 * k1
-                     - (a * k + b) * gap * gap)
+                     - a * k * gap * gap)
     if not np.all(np.isfinite(residuals)):
         i = np.argmin(np.isfinite(residuals))
         raise NonFiniteDerivative(f"non-finite Ricci residual at s={s_grid[i]}")

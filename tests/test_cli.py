@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import ricci_lab
 from ricci_lab import cli
 from ricci_lab import phase_portrait as pp
-from ricci_lab.errors import RicciLabError
+from ricci_lab.errors import NumericalError, RicciLabError
 
 # One short run of every subcommand; each writes its output to --out.
 SUBCOMMANDS = {
@@ -365,26 +366,52 @@ def test_no_source_file_imports_scipy():
             assert not any(n.split(".")[0] == "scipy" for n in names), path
 
 
-# f_derivs overflows at this c; the residual check reports it as one line
-OVERFLOWING_VERIFY = "verify --c 2.248430648807506e-169 --m 2 --ell 2"
+# Inputs that end in one line on stderr and exit 3.  At the first c f_derivs
+# overflows; at c m below about 1e-162 Theta is not finite, because g- N-
+# underflows in the Carlson form.
+NUMERICAL_FAILURES = (
+    "verify --c 2.248430648807506e-169 --m 2 --ell 2",
+    "theta --m 1e-170 --ell 0.3",
+    "solve --m 1e-170",
+    "solve --m 7.3e-212",
+    "profile --m 1e-170 --ell 0.3 --p 1 --q 2",
+    "mesh --m 1e-170 --ell 0.3 --p 1 --q 2",
+)
 
 
 @pytest.mark.parametrize("argv", sorted(
     a for a in GOLDEN_SHA256
     if a.split()[0] in ("theta", "scan", "mesh", "period", "verify"))
-    + [OVERFLOWING_VERIFY])
+    + list(NUMERICAL_FAILURES))
 def test_runs_with_runtime_warnings_as_errors(argv):
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "ricci_lab",
          *argv.split()],
         capture_output=True, text=True, env=subprocess_env(), timeout=120)
-    if argv == OVERFLOWING_VERIFY:
-        assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
+    if argv in NUMERICAL_FAILURES:
+        assert proc.returncode == NumericalError.exit_code, proc.stderr
         assert proc.stderr.startswith("numerical failure: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stdout == ""
         return
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def error_types(cls=RicciLabError):
+    """cls and every subclass of it, found recursively."""
+    return [cls] + [t for sub in cls.__subclasses__() for t in error_types(sub)]
+
+
+def test_every_error_type_exits_with_a_documented_code():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("### Exit codes", 1)[1]
+    documented = {int(code) for code in re.findall(r"^\| (\d+) ", table,
+                                                    re.MULTILINE)}
+    assert {0, 2, 3, 64, 74} <= documented
+    for cls in error_types():
+        assert cls.exit_code in documented, cls
+        assert cls.prefix, cls
 
 
 ANY_VALUE = st.one_of(

@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 
 from ricci_lab import immersion as im
 from ricci_lab import spherical_family as sf
-from ricci_lab._carlson import rf_rj
+from ricci_lab._carlson import rf_rj_unguarded
+from ricci_lab import mesh_io
 from ricci_lab.errors import (
     DomainError,
     NoBracket,
     NotImmersible,
     PoleSingularity,
+    QuadratureFailure,
     RangeError,
+    SeamMismatch,
 )
 from ricci_lab.spherical_family import SphericalParams
 
@@ -470,15 +473,15 @@ class TestSolveForEll:
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        """Arguments of every rf_rj call immersion makes; big_theta's cache
+        """Arguments of every kernel call immersion makes; big_theta's cache
         is cleared, so that each solve pays for its own."""
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return rf_rj(*args)
+            return rf_rj_unguarded(*args)
 
-        monkeypatch.setattr(im, "rf_rj", counted)
+        monkeypatch.setattr(im, "rf_rj_unguarded", counted)
         im.big_theta.cache_clear()
         return calls
 
@@ -815,3 +818,46 @@ class TestProfileSimpleCheck:
     def test_closure_required(self):
         with pytest.raises(DomainError):
             im.profile_simple_check(CLIFFORD, None)
+
+    @pytest.mark.parametrize("ell", [0.5, 0.9, 0.97])
+    def test_constant_boundary_circle_is_simple(self, ell):
+        # f is constant, so one circuit is the circle theta in [0, 2 pi),
+        # not a period of f
+        params = SphericalParams(c=1.0, m=ell * ell, ell=ell)
+        closure = im.ClosureResult(p=1, q=1, embedded=True)
+        assert im.profile_simple_check(params, closure) is True
+
+    def test_level_that_does_not_close_raises_seam_mismatch(self):
+        params = SphericalParams(c=1.0, m=0.51, ell=0.74)  # Theta irrational
+        with pytest.raises(SeamMismatch):
+            im.profile_simple_check(
+                params, im.ClosureResult(p=1, q=1, embedded=True))
+
+
+class TestBuildProfile:
+    def test_is_the_mesh_sampler(self):
+        assert mesh_io.build_profile is im.build_profile
+
+    def test_nan_seam_raises_seam_mismatch(self, monkeypatch):
+        monkeypatch.setattr(im, "theta", lambda params, s: math.nan)
+        with pytest.raises(SeamMismatch):
+            im.build_profile(P_EMB, EMBEDDED.closure, 64)
+
+    def test_array_profile_point_matches_scalar_calls(self):
+        prof = im.build_profile(P_IMM, IMMERSED.closure, 64)
+        for s, th, pt in zip(prof.s, prof.theta, prof.points):
+            assert np.array_equal(
+                im.profile_point(P_IMM, float(s), theta_value=float(th)), pt)
+        # without theta_value, the array kernel runs until its slowest
+        # element converges, which moves theta in its last bits
+        s = prof.s[:8].reshape(2, 4)
+        grid = im.profile_point(P_IMM, s)
+        assert grid.shape == (2, 4, 4)
+        for i, j in np.ndindex(s.shape):
+            assert np.max(np.abs(grid[i, j] - im.profile_point(
+                P_IMM, float(s[i, j])))) <= 1e-15
+
+    def test_non_finite_theta_is_quadrature_failure(self):
+        with pytest.raises(QuadratureFailure, match="not finite"):
+            im.build_profile(SphericalParams(c=1.0, m=1e-170, ell=0.3),
+                             im.ClosureResult(p=1, q=2, embedded=True), 64)

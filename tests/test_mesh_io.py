@@ -199,6 +199,12 @@ class TestScanTheta:
         assert "not_immersible" in statuses
         assert len(rows) == 9
 
+    def test_non_finite_theta_is_a_row_code(self):
+        # g- N- underflows in the Carlson form at c m = 1e-170
+        rows = mesh_io.scan_theta(1.0, (1e-170, 0.51), (0.3, 0.73), (2, 2))
+        assert [r["status"] for r in rows] == [
+            "QuadratureFailure", "not_immersible", "outside", "ok"]
+
     @pytest.mark.parametrize("m_range, ell_range, resolution", [
         ((0.4, math.nan), (0.66, 0.74), (2, 2)),
         ((0.4, 0.6), (-math.inf, 0.74), (2, 2)),

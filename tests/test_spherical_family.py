@@ -43,8 +43,6 @@ class TestClassify:
                 sf.classify(c, m, ell)
             with pytest.raises(DomainError):
                 SphericalParams(c=c, m=m, ell=ell)
-        with pytest.raises(DomainError):
-            SphericalParams(c=1.0, m=0.5, ell=0.8, phase=bad)
 
     @pytest.mark.parametrize("c, m, ell, want", [
         # ell^2 or c m overflows; the test runs on values scaled by 2^-600
@@ -120,15 +118,6 @@ class TestClosedForm:
         assert np.all(f * f >= p.f_sq_min - 1e-14)
         assert np.all(f * f <= p.f_sq_max + 1e-14)
         assert p.f_sq_min > 0
-
-    def test_phase_override_translates(self):
-        base = SphericalParams(c=1.0, m=0.51, ell=0.73)
-        phase = 0.9
-        shifted = SphericalParams(c=1.0, m=0.51, ell=0.73, phase=phase)
-        for s in np.linspace(0.0, 2.0, 9):
-            a = sf.f_closed(shifted, float(s))[0]
-            b = sf.f_closed(base, float(s) + phase / 2.0)[0]
-            assert a == pytest.approx(b, rel=1e-14)
 
     def test_outside_family_raises(self):
         with pytest.raises(OutsideFamily):
